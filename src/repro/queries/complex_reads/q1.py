@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ...store.graph import Transaction
 from ...store.loader import EdgeLabel, VertexLabel
-from ..helpers import friends_within
+from ..helpers import friends_within, require_many
 
 QUERY_ID = 1
 LIMIT = 20
@@ -52,42 +52,46 @@ class Q1Result:
 def run(txn: Transaction, params: Q1Params) -> list[Q1Result]:
     """Execute Q1: same-first-name persons by graph distance."""
     distances = friends_within(txn, params.person_id, MAX_DISTANCE)
+    persons = txn.vertex_many(VertexLabel.PERSON, list(distances))
     matches = []
     for person_id, distance in distances.items():
-        props = txn.vertex(VertexLabel.PERSON, person_id)
+        props = persons.get(person_id)
         if props is None or props["first_name"] != params.first_name:
             continue
         matches.append((distance, props["last_name"], person_id, props))
     matches.sort(key=lambda row: row[:3])
-    results = []
-    for distance, last_name, person_id, props in matches[:LIMIT]:
-        city = txn.require_vertex(VertexLabel.PLACE, props["city_id"])
-        results.append(Q1Result(
-            person_id=person_id,
-            last_name=last_name,
-            distance=distance,
-            birthday=props["birthday"],
-            creation_date=props["creation_date"],
-            gender=props["gender"],
-            browser_used=props["browser_used"],
-            location_ip=props["location_ip"],
-            emails=tuple(props["emails"]),
-            languages=tuple(props["languages"]),
-            city_name=city["name"],
-            universities=_affiliations(txn, person_id, EdgeLabel.STUDY_AT,
-                                       "class_year"),
-            companies=_affiliations(txn, person_id, EdgeLabel.WORK_AT,
-                                    "work_from"),
-        ))
-    return results
+    if not matches:
+        return []
+    matches = matches[:LIMIT]
+    matched_ids = [person_id for __, __, person_id, __ in matches]
+    studies = txn.neighbors_many(EdgeLabel.STUDY_AT, matched_ids)
+    jobs = txn.neighbors_many(EdgeLabel.WORK_AT, matched_ids)
+    orgs = require_many(txn, VertexLabel.ORGANISATION, {
+        org_id for held in (studies, jobs) for person_id in matched_ids
+        for org_id, __ in held[person_id]})
+    places = require_many(txn, VertexLabel.PLACE, {
+        props["city_id"] for __, __, __, props in matches} | {
+        org["location_id"] for org in orgs.values()})
 
+    def affiliations(pairs, year_prop):
+        """(organisation name, year, place name) triples, sorted."""
+        return tuple(sorted(
+            (orgs[org_id]["name"], props[year_prop],
+             places[orgs[org_id]["location_id"]]["name"])
+            for org_id, props in pairs))
 
-def _affiliations(txn: Transaction, person_id: int, edge_label: str,
-                  year_prop: str) -> tuple[tuple[str, int, str], ...]:
-    """(organisation name, year, place name) triples for a person."""
-    rows = []
-    for org_id, props in txn.neighbors(edge_label, person_id):
-        org = txn.require_vertex(VertexLabel.ORGANISATION, org_id)
-        place = txn.require_vertex(VertexLabel.PLACE, org["location_id"])
-        rows.append((org["name"], props[year_prop], place["name"]))
-    return tuple(sorted(rows))
+    return [Q1Result(
+        person_id=person_id,
+        last_name=last_name,
+        distance=distance,
+        birthday=props["birthday"],
+        creation_date=props["creation_date"],
+        gender=props["gender"],
+        browser_used=props["browser_used"],
+        location_ip=props["location_ip"],
+        emails=tuple(props["emails"]),
+        languages=tuple(props["languages"]),
+        city_name=places[props["city_id"]]["name"],
+        universities=affiliations(studies[person_id], "class_year"),
+        companies=affiliations(jobs[person_id], "work_from"),
+    ) for distance, last_name, person_id, props in matches]

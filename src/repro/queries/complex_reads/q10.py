@@ -17,11 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...ids import EntityKind, is_kind
 from ...sim_time import date_from_millis
 from ...store.graph import Transaction
 from ...store.loader import EdgeLabel, VertexLabel
-from ..helpers import friends_of, messages_of, tags_of
+from ..helpers import (
+    friends_of,
+    is_post,
+    messages_of_many,
+    persons_many,
+    require_many,
+    tags_of_many,
+)
 
 QUERY_ID = 10
 LIMIT = 10
@@ -62,33 +68,40 @@ def run(txn: Transaction, params: Q10Params) -> list[Q10Result]:
     interests = {tag_id for tag_id, __ in txn.neighbors(
         EdgeLabel.HAS_INTEREST, params.person_id)}
     friends = friends_of(txn, params.person_id)
-    candidates: set[int] = set()
-    for friend_id in friends:
-        for fof_id in friends_of(txn, friend_id):
-            if fof_id != params.person_id and fof_id not in friends:
-                candidates.add(fof_id)
-    rows = []
+    circles = txn.neighbors_many(EdgeLabel.KNOWS, list(friends))
+    fofs = {fof_id for friend_id in friends
+            for fof_id, __ in circles[friend_id]
+            if fof_id != params.person_id and fof_id not in friends}
+    if not fofs:
+        return []
+    persons = persons_many(txn, fofs)
+    candidates = [person_id for person_id in fofs if _in_horoscope_window(
+        persons[person_id]["birthday"], params.month)]
+    created = messages_of_many(txn, candidates)
+    posts = {candidate_id: [message_id for message_id
+                            in created[candidate_id] if is_post(message_id)]
+             for candidate_id in candidates}
+    tags = tags_of_many(txn, (post_id for candidate_id in candidates
+                              for post_id in posts[candidate_id]))
+    scores = []
     for candidate_id in candidates:
-        person = txn.require_vertex(VertexLabel.PERSON, candidate_id)
-        if not _in_horoscope_window(person["birthday"], params.month):
-            continue
-        common = 0
-        uncommon = 0
-        for message_id in messages_of(txn, candidate_id):
-            if not is_kind(message_id, EntityKind.POST):
-                continue
-            if tags_of(txn, message_id) & interests:
-                common += 1
-            else:
-                uncommon += 1
-        city = txn.require_vertex(VertexLabel.PLACE, person["city_id"])
+        common = sum(1 for post_id in posts[candidate_id]
+                     if not tags[post_id].isdisjoint(interests))
+        uncommon = len(posts[candidate_id]) - common
+        scores.append((uncommon - common, candidate_id))
+    scores.sort()
+    scores = scores[:LIMIT]
+    cities = require_many(txn, VertexLabel.PLACE, {
+        persons[candidate_id]["city_id"] for __, candidate_id in scores})
+    rows = []
+    for neg_similarity, candidate_id in scores:
+        person = persons[candidate_id]
         rows.append(Q10Result(
             person_id=candidate_id,
             first_name=person["first_name"],
             last_name=person["last_name"],
-            similarity=common - uncommon,
+            similarity=-neg_similarity,
             gender=person["gender"],
-            city_name=city["name"],
+            city_name=cities[person["city_id"]]["name"],
         ))
-    rows.sort(key=lambda r: (-r.similarity, r.person_id))
-    return rows[:LIMIT]
+    return rows

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ...store.graph import Transaction
 from ...store.loader import EdgeLabel, VertexLabel
-from ..helpers import two_hop_circle
+from ..helpers import persons_many, require_many, two_hop_circle
 
 QUERY_ID = 11
 LIMIT = 10
@@ -40,22 +40,26 @@ class Q11Result:
 
 def run(txn: Transaction, params: Q11Params) -> list[Q11Result]:
     """Execute Q11: long-time employees in the country, 2-hop circle."""
-    rows = []
-    for friend_id in two_hop_circle(txn, params.person_id):
-        for org_id, props in txn.neighbors(EdgeLabel.WORK_AT, friend_id):
-            if props["work_from"] >= params.max_work_from:
-                continue
-            org = txn.require_vertex(VertexLabel.ORGANISATION, org_id)
-            if org["location_id"] != params.country_id:
-                continue
-            person = txn.require_vertex(VertexLabel.PERSON, friend_id)
-            rows.append(Q11Result(
-                person_id=friend_id,
-                first_name=person["first_name"],
-                last_name=person["last_name"],
-                organisation_name=org["name"],
-                work_from=props["work_from"],
-            ))
-    rows.sort(key=lambda r: (r.work_from, r.person_id,
-                             r.organisation_name))
-    return rows[:LIMIT]
+    circle = two_hop_circle(txn, params.person_id)
+    jobs = txn.neighbors_many(EdgeLabel.WORK_AT, list(circle))
+    long_jobs = [(friend_id, org_id, props["work_from"])
+                 for friend_id in circle
+                 for org_id, props in jobs[friend_id]
+                 if props["work_from"] < params.max_work_from]
+    if not long_jobs:
+        return []
+    orgs = require_many(txn, VertexLabel.ORGANISATION,
+                        {org_id for __, org_id, __ in long_jobs})
+    # (work_from, person id, organisation name)
+    ranked = sorted(
+        (work_from, friend_id, orgs[org_id]["name"])
+        for friend_id, org_id, work_from in long_jobs
+        if orgs[org_id]["location_id"] == params.country_id)[:LIMIT]
+    persons = persons_many(txn, {friend_id for __, friend_id, __ in ranked})
+    return [Q11Result(
+        person_id=friend_id,
+        first_name=persons[friend_id]["first_name"],
+        last_name=persons[friend_id]["last_name"],
+        organisation_name=organisation_name,
+        work_from=work_from,
+    ) for work_from, friend_id, organisation_name in ranked]

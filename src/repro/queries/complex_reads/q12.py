@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...ids import EntityKind, is_kind
 from ...store.graph import Transaction
 from ...store.loader import VertexLabel
-from ..helpers import friends_of, messages_of, tags_of
+from ..helpers import (
+    friends_of,
+    is_post,
+    messages_of_many,
+    persons_many,
+    require_many,
+    tags_of_many,
+)
 
 QUERY_ID = 12
 LIMIT = 20
@@ -59,32 +65,41 @@ def _descendant_classes(txn: Transaction, class_id: int) -> set[int]:
 
 def run(txn: Transaction, params: Q12Params) -> list[Q12Result]:
     """Execute Q12: friends ranked by replies to in-category posts."""
+    friends = friends_of(txn, params.person_id)
+    if not friends:
+        return []
     classes = _descendant_classes(txn, params.tag_class_id)
-    rows = []
-    for friend_id in friends_of(txn, params.person_id):
+    created = messages_of_many(txn, friends)
+    replies = {friend_id: [message_id for message_id in created[friend_id]
+                           if not is_post(message_id)]
+               for friend_id in friends}
+    comments = require_many(txn, VertexLabel.COMMENT, (
+        comment_id for friend_id in friends
+        for comment_id in replies[friend_id]))
+    # Only direct replies to posts count.
+    post_tags = tags_of_many(txn, {
+        comment["reply_of_id"] for comment in comments.values()
+        if is_post(comment["reply_of_id"])})
+    tags = require_many(txn, VertexLabel.TAG, {
+        tag_id for tag_ids in post_tags.values() for tag_id in tag_ids})
+    ranked = []
+    for friend_id in friends:
         reply_count = 0
         tag_ids: set[int] = set()
-        for message_id in messages_of(txn, friend_id):
-            if not is_kind(message_id, EntityKind.COMMENT):
-                continue
-            comment = txn.require_vertex(VertexLabel.COMMENT, message_id)
-            parent_id = comment["reply_of_id"]
-            if not is_kind(parent_id, EntityKind.POST):
-                continue  # only direct replies to posts count
-            matching = set()
-            for tag_id in tags_of(txn, parent_id):
-                tag = txn.require_vertex(VertexLabel.TAG, tag_id)
-                if tag["class_id"] in classes:
-                    matching.add(tag_id)
+        for comment_id in replies[friend_id]:
+            matching = {tag_id for tag_id in post_tags.get(
+                comments[comment_id]["reply_of_id"], ())
+                if tags[tag_id]["class_id"] in classes}
             if matching:
                 reply_count += 1
                 tag_ids |= matching
         if reply_count > 0:
-            person = txn.require_vertex(VertexLabel.PERSON, friend_id)
-            names = tuple(sorted(
-                txn.require_vertex(VertexLabel.TAG, t)["name"]
-                for t in tag_ids))
-            rows.append(Q12Result(friend_id, person["first_name"],
-                                  person["last_name"], reply_count, names))
-    rows.sort(key=lambda r: (-r.reply_count, r.person_id))
-    return rows[:LIMIT]
+            ranked.append((-reply_count, friend_id, tag_ids))
+    ranked.sort(key=lambda row: row[:2])
+    ranked = ranked[:LIMIT]
+    persons = persons_many(txn, [friend_id for __, friend_id, __ in ranked])
+    return [Q12Result(
+        friend_id, persons[friend_id]["first_name"],
+        persons[friend_id]["last_name"], -neg_count,
+        tuple(sorted(tags[tag_id]["name"] for tag_id in tag_ids)),
+    ) for neg_count, friend_id, tag_ids in ranked]

@@ -5,7 +5,8 @@ subgraph induced by the Knows relationships.  Return the length of this
 path."  Returns -1 if the persons are not connected.
 
 Implemented as a bidirectional BFS — the classic optimization for
-point-to-point shortest path in a small-diameter social graph.
+point-to-point shortest path in a small-diameter social graph — that
+fetches each level's adjacency in one batched call.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ def run(txn: Transaction, params: Q13Params) -> list[Q13Result]:
             frontier, seen, other = forward_frontier, forward, backward
         else:
             frontier, seen, other = backward_frontier, backward, forward
+        adjacency = txn.neighbors_many(EdgeLabel.KNOWS, frontier)
         best: int | None = None
         next_frontier = []
         for person_id in frontier:
-            for neighbor, __ in txn.neighbors(EdgeLabel.KNOWS, person_id):
+            for neighbor, __ in adjacency[person_id]:
                 if neighbor in other:
                     candidate = seen[person_id] + 1 + other[neighbor]
                     if best is None or candidate < best:

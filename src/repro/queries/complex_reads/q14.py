@@ -13,13 +13,16 @@ over consecutive pairs.  Paths are returned sorted by weight descending.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from ...ids import EntityKind, is_kind
-from ...store.graph import Direction, Transaction
+from ...store.graph import Transaction
 from ...store.loader import EdgeLabel, VertexLabel
-from ..helpers import creator_of
+from ..helpers import (
+    creators_of_many,
+    is_post,
+    messages_of_many,
+    require_many,
+)
 
 QUERY_ID = 14
 #: Safety valve: social graphs can hold combinatorially many equal-length
@@ -49,39 +52,49 @@ def run(txn: Transaction, params: Q14Params) -> list[Q14Result]:
     source, target = params.person_x_id, params.person_y_id
     if source == target:
         return [Q14Result((source,), 0.0)]
-    distances = _bfs_distances(txn, source, target)
+    distances, adjacency = _bfs_levels(txn, source, target)
     if target not in distances:
         return []
-    paths = _enumerate_shortest_paths(txn, distances, source, target)
-    weight_cache: dict[tuple[int, int], float] = {}
-    results = [Q14Result(tuple(path),
-                         _path_weight(txn, path, weight_cache))
-               for path in paths]
+    paths = _enumerate_shortest_paths(adjacency, distances, source, target)
+    weights = _reply_weights(txn, {person for path in paths
+                                   for person in path})
+    results = [Q14Result(tuple(path), sum(
+        weights[a].get(b, 0.0) + weights[b].get(a, 0.0)
+        for a, b in zip(path, path[1:]))) for path in paths]
     results.sort(key=lambda r: (-r.weight, r.path))
     return results
 
 
-def _bfs_distances(txn: Transaction, source: int, target: int,
-                   ) -> dict[int, int]:
-    """BFS distances from source, stopping one level past the target."""
+def _bfs_levels(txn: Transaction, source: int, target: int,
+                ) -> tuple[dict[int, int], dict[int, list]]:
+    """Level-batched BFS from source through the target's level.
+
+    Returns the distances and the adjacency lists it fetched — every
+    vertex nearer than the target, plus the target itself — which is
+    all the backward path enumeration reads.
+    """
     distances = {source: 0}
-    frontier = deque([source])
-    target_depth: int | None = None
-    while frontier:
-        current = frontier.popleft()
-        depth = distances[current]
-        if target_depth is not None and depth >= target_depth:
-            break
-        for neighbor, __ in txn.neighbors(EdgeLabel.KNOWS, current):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                frontier.append(neighbor)
-                if neighbor == target:
-                    target_depth = depth + 1
-    return distances
+    adjacency: dict[int, list] = {}
+    frontier = [source]
+    depth = 0
+    while frontier and target not in distances:
+        depth += 1
+        level = txn.neighbors_many(EdgeLabel.KNOWS, frontier)
+        adjacency.update(level)
+        next_frontier = []
+        for current in frontier:
+            for neighbor, __ in level[current]:
+                if neighbor not in distances:
+                    distances[neighbor] = depth
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    if target in distances:
+        adjacency[target] = list(txn.neighbors(EdgeLabel.KNOWS, target))
+    return distances, adjacency
 
 
-def _enumerate_shortest_paths(txn: Transaction, distances: dict[int, int],
+def _enumerate_shortest_paths(adjacency: dict[int, list],
+                              distances: dict[int, int],
                               source: int, target: int) -> list[list[int]]:
     """Walk backward from the target along strictly decreasing distances."""
     paths: list[list[int]] = []
@@ -93,34 +106,30 @@ def _enumerate_shortest_paths(txn: Transaction, distances: dict[int, int],
             paths.append(list(reversed(partial)))
             continue
         want = distances[head] - 1
-        for neighbor, __ in txn.neighbors(EdgeLabel.KNOWS, head):
+        for neighbor, __ in adjacency[head]:
             if distances.get(neighbor) == want:
                 stack.append(partial + [neighbor])
     return paths
 
 
-def _path_weight(txn: Transaction, path: list[int],
-                 cache: dict[tuple[int, int], float]) -> float:
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        key = (min(a, b), max(a, b))
-        if key not in cache:
-            cache[key] = (_replies_weight(txn, a, b)
-                          + _replies_weight(txn, b, a))
-        total += cache[key]
-    return total
-
-
-def _replies_weight(txn: Transaction, replier: int, author: int) -> float:
-    """Weight of all of ``replier``'s comments on ``author``'s messages."""
-    weight = 0.0
-    for message_id, __ in txn.neighbors(EdgeLabel.HAS_CREATOR, replier,
-                                        Direction.IN):
-        if not is_kind(message_id, EntityKind.COMMENT):
-            continue
-        comment = txn.require_vertex(VertexLabel.COMMENT, message_id)
-        parent_id = comment["reply_of_id"]
-        if creator_of(txn, parent_id) != author:
-            continue
-        weight += 1.0 if is_kind(parent_id, EntityKind.POST) else 0.5
-    return weight
+def _reply_weights(txn: Transaction, people: set[int],
+                   ) -> dict[int, dict[int, float]]:
+    """Replier → author → weight of the replier's comments on the
+    author's messages, for every replier in ``people``."""
+    people = list(people)
+    created = messages_of_many(txn, people)
+    replies = {person: [message_id for message_id in created[person]
+                        if not is_post(message_id)] for person in people}
+    comments = require_many(txn, VertexLabel.COMMENT, (
+        comment_id for person in people for comment_id in replies[person]))
+    authors = creators_of_many(txn, {comment["reply_of_id"]
+                                     for comment in comments.values()})
+    weights: dict[int, dict[int, float]] = {}
+    for replier in people:
+        towards = weights[replier] = {}
+        for comment_id in replies[replier]:
+            parent_id = comments[comment_id]["reply_of_id"]
+            author = authors[parent_id]
+            towards[author] = towards.get(author, 0.0) \
+                + (1.0 if is_post(parent_id) else 0.5)
+    return weights

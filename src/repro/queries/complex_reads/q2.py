@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...store.graph import Transaction
-from ..helpers import friends_of, is_post, message_props, messages_of
+from ..helpers import (
+    friends_of,
+    is_post,
+    message_props_many,
+    messages_of_many,
+    persons_many,
+)
 
 QUERY_ID = 2
 LIMIT = 20
@@ -44,21 +50,27 @@ class Q2Result:
 
 def run(txn: Transaction, params: Q2Params) -> list[Q2Result]:
     """Execute Q2: newest friend messages up to the date."""
-    from ...store.loader import VertexLabel
-
+    friends = friends_of(txn, params.person_id)
+    created = messages_of_many(txn, friends)
+    messages = message_props_many(
+        txn, (message_id for friend_id in friends
+              for message_id in created[friend_id]))
     candidates: list[tuple[int, int, int]] = []  # (-date, id, friend)
-    for friend_id in friends_of(txn, params.person_id):
-        for message_id in messages_of(txn, friend_id):
-            props = message_props(txn, message_id)
+    for friend_id in friends:
+        for message_id in created[friend_id]:
+            props = messages.get(message_id)
             if props is None or props["creation_date"] > params.max_date:
                 continue
             candidates.append((-props["creation_date"], message_id,
                                friend_id))
     candidates.sort()
+    candidates = candidates[:LIMIT]
+    persons = persons_many(txn, {friend_id for __, __, friend_id
+                                 in candidates})
     results = []
-    for neg_date, message_id, friend_id in candidates[:LIMIT]:
-        person = txn.require_vertex(VertexLabel.PERSON, friend_id)
-        props = message_props(txn, message_id)
+    for neg_date, message_id, friend_id in candidates:
+        person = persons[friend_id]
+        props = messages[message_id]
         results.append(Q2Result(
             person_id=friend_id,
             first_name=person["first_name"],

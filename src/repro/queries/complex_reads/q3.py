@@ -16,8 +16,12 @@ from dataclasses import dataclass
 
 from ...sim_time import MILLIS_PER_DAY
 from ...store.graph import Transaction
-from ...store.loader import VertexLabel
-from ..helpers import message_props, messages_of, two_hop_circle
+from ..helpers import (
+    message_props_many,
+    messages_of_many,
+    persons_many,
+    two_hop_circle,
+)
 
 QUERY_ID = 3
 LIMIT = 20
@@ -55,16 +59,22 @@ class Q3Result:
 
 def run(txn: Transaction, params: Q3Params) -> list[Q3Result]:
     """Execute Q3: two-country travelers in the 2-hop circle."""
+    countries = (params.country_x_id, params.country_y_id)
+    circle = two_hop_circle(txn, params.person_id)
+    persons = persons_many(txn, circle)
+    # Residents of either country are out: it would not be foreign.
+    travelers = [friend_id for friend_id in circle
+                 if persons[friend_id]["country_id"] not in countries]
+    created = messages_of_many(txn, travelers)
+    messages = message_props_many(
+        txn, (message_id for friend_id in travelers
+              for message_id in created[friend_id]))
     rows = []
-    for friend_id in two_hop_circle(txn, params.person_id):
-        person = txn.require_vertex(VertexLabel.PERSON, friend_id)
-        home = person["country_id"]
-        if home in (params.country_x_id, params.country_y_id):
-            continue  # those countries would not be foreign
+    for friend_id in travelers:
         x_count = 0
         y_count = 0
-        for message_id in messages_of(txn, friend_id):
-            props = message_props(txn, message_id)
+        for message_id in created[friend_id]:
+            props = messages.get(message_id)
             if props is None:
                 continue
             when = props["creation_date"]
@@ -76,6 +86,7 @@ def run(txn: Transaction, params: Q3Params) -> list[Q3Result]:
             elif country == params.country_y_id:
                 y_count += 1
         if x_count > 0 and y_count > 0:
+            person = persons[friend_id]
             rows.append(Q3Result(friend_id, person["first_name"],
                                  person["last_name"], x_count, y_count))
     rows.sort(key=lambda r: (-(r.x_count + r.y_count), r.person_id))

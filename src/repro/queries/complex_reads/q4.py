@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...ids import EntityKind, is_kind
 from ...sim_time import MILLIS_PER_DAY
 from ...store.graph import Transaction
 from ...store.loader import VertexLabel
-from ..helpers import friends_of, message_props, messages_of, tags_of
+from ..helpers import (
+    friends_of,
+    is_post,
+    messages_of_many,
+    require_many,
+    tags_of_many,
+)
 
 QUERY_ID = 4
 LIMIT = 10
@@ -45,29 +50,27 @@ class Q4Result:
 
 def run(txn: Transaction, params: Q4Params) -> list[Q4Result]:
     """Execute Q4: tags new to the window over friend posts."""
+    friends = friends_of(txn, params.person_id)
+    created = messages_of_many(txn, friends)
+    post_ids = [message_id for friend_id in friends
+                for message_id in created[friend_id]
+                if is_post(message_id)]
+    posts = txn.vertex_many(VertexLabel.POST, post_ids)
+    post_ids = [post_id for post_id in post_ids if post_id in posts
+                and posts[post_id]["creation_date"] < params.end_date]
+    tags = tags_of_many(txn, post_ids)
     in_window: dict[int, int] = {}
     before_window: set[int] = set()
-    for friend_id in friends_of(txn, params.person_id):
-        for message_id in messages_of(txn, friend_id):
-            if not is_kind(message_id, EntityKind.POST):
-                continue
-            props = message_props(txn, message_id)
-            if props is None:
-                continue
-            when = props["creation_date"]
-            if when >= params.end_date:
-                continue
-            tags = tags_of(txn, message_id)
-            if when < params.start_date:
-                before_window |= tags
-            else:
-                for tag_id in tags:
-                    in_window[tag_id] = in_window.get(tag_id, 0) + 1
-    rows = []
-    for tag_id, count in in_window.items():
-        if tag_id in before_window:
-            continue
-        tag = txn.require_vertex(VertexLabel.TAG, tag_id)
-        rows.append(Q4Result(tag["name"], count))
+    for post_id in post_ids:
+        if posts[post_id]["creation_date"] < params.start_date:
+            before_window |= tags[post_id]
+        else:
+            for tag_id in tags[post_id]:
+                in_window[tag_id] = in_window.get(tag_id, 0) + 1
+    new_tags = [tag_id for tag_id in in_window
+                if tag_id not in before_window]
+    names = require_many(txn, VertexLabel.TAG, new_tags)
+    rows = [Q4Result(names[tag_id]["name"], in_window[tag_id])
+            for tag_id in new_tags]
     rows.sort(key=lambda r: (-r.post_count, r.tag_name))
     return rows[:LIMIT]

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...ids import EntityKind, is_kind
 from ...store.graph import Transaction
 from ...store.loader import VertexLabel
-from ..helpers import messages_of, tags_of, two_hop_circle
+from ..helpers import (
+    is_post,
+    messages_of_many,
+    require_many,
+    tags_of_many,
+    two_hop_circle,
+)
 
 QUERY_ID = 6
 LIMIT = 10
@@ -38,20 +43,21 @@ class Q6Result:
 
 def run(txn: Transaction, params: Q6Params) -> list[Q6Result]:
     """Execute Q6: co-occurrence counts over the 2-hop circle's posts."""
+    circle = two_hop_circle(txn, params.person_id)
+    created = messages_of_many(txn, circle)
+    post_ids = [message_id for friend_id in circle
+                for message_id in created[friend_id]
+                if is_post(message_id)]
+    tags = tags_of_many(txn, post_ids)
     co_counts: dict[int, int] = {}
-    for friend_id in two_hop_circle(txn, params.person_id):
-        for message_id in messages_of(txn, friend_id):
-            if not is_kind(message_id, EntityKind.POST):
-                continue
-            tags = tags_of(txn, message_id)
-            if params.tag_id not in tags:
-                continue
-            for tag_id in tags:
-                if tag_id != params.tag_id:
-                    co_counts[tag_id] = co_counts.get(tag_id, 0) + 1
-    rows = []
-    for tag_id, count in co_counts.items():
-        tag = txn.require_vertex(VertexLabel.TAG, tag_id)
-        rows.append(Q6Result(tag["name"], count))
+    for post_id in post_ids:
+        if params.tag_id not in tags[post_id]:
+            continue
+        for tag_id in tags[post_id]:
+            if tag_id != params.tag_id:
+                co_counts[tag_id] = co_counts.get(tag_id, 0) + 1
+    names = require_many(txn, VertexLabel.TAG, co_counts)
+    rows = [Q6Result(names[tag_id]["name"], count)
+            for tag_id, count in co_counts.items()]
     rows.sort(key=lambda r: (-r.post_count, r.tag_name))
     return rows[:LIMIT]

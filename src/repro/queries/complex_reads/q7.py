@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 from ...sim_time import MILLIS_PER_MINUTE
 from ...store.graph import Direction, Transaction
-from ...store.loader import EdgeLabel, VertexLabel
-from ..helpers import friends_of, message_props, messages_of
+from ...store.loader import EdgeLabel
+from ..helpers import (
+    friends_of,
+    message_props_many,
+    messages_of,
+    persons_many,
+)
 
 QUERY_ID = 7
 LIMIT = 20
@@ -45,18 +50,27 @@ class Q7Result:
 def run(txn: Transaction, params: Q7Params) -> list[Q7Result]:
     """Execute Q7: most recent like per liker, friendship flagged."""
     friends = friends_of(txn, params.person_id)
+    message_ids = messages_of(txn, params.person_id)
+    likes = txn.neighbors_many(EdgeLabel.LIKES, message_ids, Direction.IN)
     #: liker id → (like date, message id)
     latest: dict[int, tuple[int, int]] = {}
-    for message_id in messages_of(txn, params.person_id):
-        for liker_id, props in txn.neighbors(EdgeLabel.LIKES, message_id,
-                                             Direction.IN):
+    for message_id in message_ids:
+        for liker_id, props in likes[message_id]:
             entry = (props["creation_date"], message_id)
             if liker_id not in latest or entry > latest[liker_id]:
                 latest[liker_id] = entry
+    if not latest:
+        return []
+    # The ranking needs neither names nor contents: fetch the top only.
+    ranked = sorted(latest.items(),
+                    key=lambda item: (-item[1][0], item[0]))[:LIMIT]
+    persons = persons_many(txn, [liker_id for liker_id, __ in ranked])
+    messages = message_props_many(
+        txn, {message_id for __, (__, message_id) in ranked})
     rows = []
-    for liker_id, (like_date, message_id) in latest.items():
-        person = txn.require_vertex(VertexLabel.PERSON, liker_id)
-        message = message_props(txn, message_id)
+    for liker_id, (like_date, message_id) in ranked:
+        person = persons[liker_id]
+        message = messages[message_id]
         latency = (like_date - message["creation_date"]) \
             // MILLIS_PER_MINUTE
         rows.append(Q7Result(
@@ -70,5 +84,4 @@ def run(txn: Transaction, params: Q7Params) -> list[Q7Result]:
             latency_minutes=latency,
             is_outside_connections=liker_id not in friends,
         ))
-    rows.sort(key=lambda r: (-r.like_date, r.liker_id))
-    return rows[:LIMIT]
+    return rows

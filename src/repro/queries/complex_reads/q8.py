@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...store.graph import Transaction
-from ...store.loader import VertexLabel
-from ..helpers import messages_of, replies_of
+from ...store.graph import Direction, Transaction
+from ...store.loader import EdgeLabel, VertexLabel
+from ..helpers import messages_of, persons_many, require_many
 
 QUERY_ID = 8
 LIMIT = 20
@@ -40,17 +40,23 @@ class Q8Result:
 
 def run(txn: Transaction, params: Q8Params) -> list[Q8Result]:
     """Execute Q8: newest direct replies to the person's messages."""
-    candidates: list[tuple[int, int]] = []  # (-date, comment id)
-    for message_id in messages_of(txn, params.person_id):
-        for comment_id in replies_of(txn, message_id):
-            comment = txn.require_vertex(VertexLabel.COMMENT, comment_id)
-            candidates.append((-comment["creation_date"], comment_id))
-    candidates.sort()
+    message_ids = messages_of(txn, params.person_id)
+    replies = txn.neighbors_many(EdgeLabel.REPLY_OF, message_ids,
+                                 Direction.IN)
+    comment_ids = [comment_id for message_id in message_ids
+                   for comment_id, __ in replies[message_id]]
+    if not comment_ids:
+        return []
+    comments = require_many(txn, VertexLabel.COMMENT, comment_ids)
+    # (-date, comment id)
+    candidates = sorted((-comments[comment_id]["creation_date"], comment_id)
+                        for comment_id in comment_ids)[:LIMIT]
+    authors = persons_many(txn, {comments[comment_id]["author_id"]
+                                 for __, comment_id in candidates})
     results = []
-    for neg_date, comment_id in candidates[:LIMIT]:
-        comment = txn.require_vertex(VertexLabel.COMMENT, comment_id)
-        author = txn.require_vertex(VertexLabel.PERSON,
-                                    comment["author_id"])
+    for neg_date, comment_id in candidates:
+        comment = comments[comment_id]
+        author = authors[comment["author_id"]]
         results.append(Q8Result(
             comment_id=comment_id,
             creation_date=-neg_date,

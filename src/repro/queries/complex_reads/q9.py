@@ -17,8 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...store.graph import Transaction
-from ...store.loader import VertexLabel
-from ..helpers import is_post, message_props, messages_of, two_hop_circle
+from ..helpers import (
+    is_post,
+    message_props_many,
+    messages_of_many,
+    persons_many,
+    two_hop_circle,
+)
 
 QUERY_ID = 9
 LIMIT = 20
@@ -47,19 +52,27 @@ class Q9Result:
 
 def run(txn: Transaction, params: Q9Params) -> list[Q9Result]:
     """Execute Q9: newest 2-hop-circle messages before the date."""
+    circle = two_hop_circle(txn, params.person_id)
+    created = messages_of_many(txn, circle)
+    messages = message_props_many(
+        txn, (message_id for friend_id in circle
+              for message_id in created[friend_id]))
     candidates: list[tuple[int, int, int]] = []  # (-date, id, author)
-    for friend_id in two_hop_circle(txn, params.person_id):
-        for message_id in messages_of(txn, friend_id):
-            props = message_props(txn, message_id)
+    for friend_id in circle:
+        for message_id in created[friend_id]:
+            props = messages.get(message_id)
             if props is None or props["creation_date"] >= params.max_date:
                 continue
             candidates.append((-props["creation_date"], message_id,
                                friend_id))
     candidates.sort()
+    candidates = candidates[:LIMIT]
+    persons = persons_many(txn, {author_id for __, __, author_id
+                                 in candidates})
     results = []
-    for neg_date, message_id, author_id in candidates[:LIMIT]:
-        person = txn.require_vertex(VertexLabel.PERSON, author_id)
-        props = message_props(txn, message_id)
+    for neg_date, message_id, author_id in candidates:
+        person = persons[author_id]
+        props = messages[message_id]
         results.append(Q9Result(
             person_id=author_id,
             first_name=person["first_name"],

@@ -13,10 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ids import EntityKind, is_kind
 from ..store.graph import Direction, Transaction
 from ..store.loader import EdgeLabel, VertexLabel
-from .helpers import creator_of, message_label, message_props, replies_of
+from .helpers import (
+    creator_of,
+    creators_of_many,
+    friends_of,
+    is_post,
+    message_label,
+    message_props,
+    message_props_many,
+    messages_of,
+    persons_many,
+    require_many,
+)
 
 
 @dataclass(frozen=True)
@@ -66,21 +76,22 @@ class S2Result:
 def s2_recent_messages(txn: Transaction, person_id: int,
                        limit: int = 10) -> list[S2Result]:
     """S2: the person's 10 most recent messages with root-post info."""
-    candidates = []
-    for message_id, __ in txn.neighbors(EdgeLabel.HAS_CREATOR, person_id,
-                                        Direction.IN):
-        props = message_props(txn, message_id)
-        if props is not None:
-            candidates.append((-props["creation_date"], message_id, props))
-    candidates.sort(key=lambda row: row[:2])
+    message_ids = messages_of(txn, person_id)
+    messages = message_props_many(txn, message_ids)
+    candidates = sorted(
+        (-messages[message_id]["creation_date"], message_id)
+        for message_id in message_ids if message_id in messages)[:limit]
+    root_ids = {message_id: message_id if is_post(message_id)
+                else messages[message_id]["root_post_id"]
+                for __, message_id in candidates}
+    root_authors = creators_of_many(txn, set(root_ids.values()))
+    authors = persons_many(txn, set(root_authors.values()))
     results = []
-    for neg_date, message_id, props in candidates[:limit]:
-        if is_kind(message_id, EntityKind.POST):
-            root_id = message_id
-        else:
-            root_id = props["root_post_id"]
-        root_author = creator_of(txn, root_id)
-        author = txn.require_vertex(VertexLabel.PERSON, root_author)
+    for neg_date, message_id in candidates:
+        props = messages[message_id]
+        root_id = root_ids[message_id]
+        root_author = root_authors[root_id]
+        author = authors[root_author]
         results.append(S2Result(
             message_id=message_id,
             content=props["content"] or (props.get("image_file") or ""),
@@ -105,11 +116,11 @@ class S3Result:
 
 def s3_friends(txn: Transaction, person_id: int) -> list[S3Result]:
     """S3: all friends, newest friendships first."""
-    rows = []
-    for friend_id, props in txn.neighbors(EdgeLabel.KNOWS, person_id):
-        person = txn.require_vertex(VertexLabel.PERSON, friend_id)
-        rows.append(S3Result(friend_id, person["first_name"],
-                             person["last_name"], props["creation_date"]))
+    friendships = list(txn.neighbors(EdgeLabel.KNOWS, person_id))
+    persons = persons_many(txn, [friend_id for friend_id, __ in friendships])
+    rows = [S3Result(friend_id, persons[friend_id]["first_name"],
+                     persons[friend_id]["last_name"], props["creation_date"])
+            for friend_id, props in friendships]
     rows.sort(key=lambda r: (-r.friendship_date, r.person_id))
     return rows
 
@@ -165,7 +176,7 @@ def s6_message_forum(txn: Transaction, message_id: int) -> S6Result | None:
     props = message_props(txn, message_id)
     if props is None:
         return None
-    if is_kind(message_id, EntityKind.POST):
+    if is_post(message_id):
         forum_id = props["forum_id"]
     else:
         root = txn.vertex(VertexLabel.POST, props["root_post_id"])
@@ -197,14 +208,18 @@ def s7_message_replies(txn: Transaction, message_id: int) -> list[S7Result]:
     """S7: direct replies to a message, newest first."""
     if txn.vertex(message_label(message_id), message_id) is None:
         return []
-    original_author = creator_of(txn, message_id)
-    author_friends = {other for other, __ in txn.neighbors(
-        EdgeLabel.KNOWS, original_author)}
+    comment_ids = [comment_id for comment_id, __ in txn.neighbors(
+        EdgeLabel.REPLY_OF, message_id, Direction.IN)]
+    if not comment_ids:
+        return []
+    author_friends = friends_of(txn, creator_of(txn, message_id))
+    comments = require_many(txn, VertexLabel.COMMENT, comment_ids)
+    authors = persons_many(txn, {comment["author_id"]
+                                 for comment in comments.values()})
     rows = []
-    for comment_id in replies_of(txn, message_id):
-        comment = txn.require_vertex(VertexLabel.COMMENT, comment_id)
-        author = txn.require_vertex(VertexLabel.PERSON,
-                                    comment["author_id"])
+    for comment_id in comment_ids:
+        comment = comments[comment_id]
+        author = authors[comment["author_id"]]
         rows.append(S7Result(
             comment_id=comment_id,
             content=comment["content"],

@@ -7,11 +7,12 @@ lock, and exposes three things:
   whole :class:`repro.store.graph.Transaction` read API, so every SNB
   query — all 14 complex reads and 7 short reads — runs against the
   sharded store *unchanged*.  Point reads dispatch straight to the
-  owning shard; the batched 2-hop primitives (``neighbors_many``,
-  ``vertex_many``) scatter one request per involved shard and merge the
-  partial adjacency/property maps the workers aggregate locally;
-  whole-label scans (``vertices``/``edges``/``lookup``/``scan_range``)
-  scatter-gather across all shards.
+  owning shard; the batched primitives every query is written over
+  (``neighbors_many``, ``vertex_many``) scatter one request per
+  involved shard and merge the partial adjacency/property maps the
+  workers aggregate locally; whole-label scans
+  (``vertices``/``edges``/``lookup``/``scan_range``) scatter-gather
+  across all shards, static-only labels excepted (shard 0 alone).
 * an **update commit**: the update's insert logic runs router-side
   against a write recorder; the recorded write-set is partitioned by
   the placement rules and applied under a router-held commit epoch —
@@ -57,6 +58,7 @@ from ..errors import (
 from ..queries.updates import executor_for
 from ..store.graph import Direction
 from .routing import (
+    STATIC_LABELS,
     ShardWrites,
     is_static,
     owner_of,
@@ -67,9 +69,13 @@ from .txlog import COORDINATOR_LOG, CoordinatorLog
 from .worker import ShardDurability, ShardFaultPlan, shard_worker_main
 
 #: Mutation-canary hook (see :mod:`repro.validation.canary`): when set
-#: to a shard index, scatter-gather reads silently drop that shard's
-#: partial results — a seeded routing bug the validation harness must
-#: catch via golden reads / checkpoint digests.
+#: to a shard index, every :meth:`ShardRouter.gather` (whole-label
+#: scans, the merged snapshot, static-anchor adjacency) silently drops
+#: that shard's partial results — a seeded routing bug the validation
+#: harness must catch via checkpoint digests.  ``call_many`` is exempt:
+#: a batch that loses a shard's rows fails loudly in the queries'
+#: ``require_many`` / ``creators_of_many`` checks, which is no test of
+#: the harness.
 _canary_drop_shard: int | None = None
 
 
@@ -343,38 +349,45 @@ class ShardRouter:
         """
         return max(self.request_timeout, 30.0)
 
+    def _fan_out(self, jobs: list[tuple]) -> list:
+        """Run ``(handle, method, args, timeout)`` RPCs at once; results
+        in job order.
+
+        The last job runs on the calling thread and only the others on
+        the pool (each blocks in ``poll``/``recv`` with the GIL
+        released, so worker-side partial aggregation still runs in
+        parallel): a fan-out of N costs N-1 thread hand-offs, and a
+        single target none.  Every future is collected before the first
+        error, in job order, is re-raised, so no RPC is left in flight.
+        """
+        if not jobs:
+            return []
+        futures = [self._pool().submit(self._call_handle, *job)
+                   for job in jobs[:-1]]
+        try:
+            tail, tail_error = self._call_handle(*jobs[-1]), None
+        except BaseException as exc:  # re-raised below, in job order
+            tail, tail_error = None, exc
+        for error in [future.exception() for future in futures] \
+                + [tail_error]:
+            if error is not None:
+                raise error
+        return [future.result() for future in futures] + [tail]
+
     def gather(self, method: str, *args, timeout: float | None = None,
                ) -> list:
-        """The same RPC on every shard; per-shard results in index order.
-
-        Fans out on threads (each blocks in ``poll``/``recv`` with the
-        GIL released) so worker-side partial aggregation genuinely runs
-        in parallel.
-        """
+        """The same RPC on every shard; per-shard results in index order."""
         timeout = self.request_timeout if timeout is None else timeout
-        targets = [h for h in self.handles
-                   if h.index != _canary_drop_shard]
-        if len(targets) == 1:
-            return [self._call_handle(targets[0], method, args, timeout)]
-        futures = [self._pool().submit(self._call_handle, h, method,
-                                       args, timeout)
-                   for h in targets]
-        return [future.result() for future in futures]
+        return self._fan_out([(h, method, args, timeout)
+                              for h in self.handles
+                              if h.index != _canary_drop_shard])
 
     def call_many(self, per_shard: dict[int, tuple]) -> dict[int, Any]:
         """Different arguments per shard, one fan-out; shard → result."""
-        items = [(shard, args) for shard, args in per_shard.items()
-                 if shard != _canary_drop_shard]
-        if len(items) == 1:
-            shard, (method, *args) = items[0]
-            return {shard: self.call(shard, method, *args)}
-        futures = {
-            shard: self._pool().submit(
-                self._call_handle, self.handles[shard], args[0],
-                tuple(args[1:]), self.request_timeout)
-            for shard, args in items}
-        return {shard: future.result()
-                for shard, future in futures.items()}
+        results = self._fan_out([
+            (self.handles[shard], method, tuple(args), self.request_timeout)
+            for shard, (method, *args) in per_shard.items()])
+        return dict(zip(per_shard, results))
 
     # -- reads -------------------------------------------------------------
 
@@ -600,19 +613,13 @@ class ShardedTransaction:
         if not is_static(vid):
             return self.router.call(self._owner(vid), "neighbors",
                                     edge_label, vid, direction)
-        # Static anchor: its halves follow the non-static endpoints,
-        # which may live anywhere — scatter-gather and concatenate.
-        merged: list[tuple[int, dict | None]] = []
-        for part in self.router.gather("neighbors", edge_label, vid,
-                                       direction):
-            merged.extend(part)
-        return merged
+        return self.neighbors_many(edge_label, [vid], direction)[vid]
 
     def degree(self, edge_label: str, vid: int,
                direction: Direction = Direction.OUT) -> int:
         return len(self.neighbors(edge_label, vid, direction))
 
-    # -- batched 2-hop primitives (per-shard partial aggregation) ---------
+    # -- batched primitives (per-shard partial aggregation) ---------------
 
     def vertex_many(self, label: str, vids) -> dict[int, dict]:
         per_shard: dict[int, list[int]] = {}
@@ -633,7 +640,8 @@ class ShardedTransaction:
                        ) -> dict[int, list[tuple[int, dict | None]]]:
         """One scatter per involved shard; workers aggregate their
         owned slice of the batch locally and the router merges the
-        partial adjacency maps — the Q5 / ``friends_within`` path."""
+        partial adjacency maps — the path every SNB read expands its
+        frontiers through."""
         static: list[int] = []
         per_shard: dict[int, list[int]] = {}
         for vid in vids:
@@ -648,8 +656,17 @@ class ShardedTransaction:
                 for shard, group in per_shard.items()})
             for part in results.values():
                 merged.update(part)
-        for vid in static:
-            merged[vid] = self.neighbors(edge_label, vid, direction)
+        if static:
+            # Static anchors' halves follow the non-static endpoints,
+            # which may live anywhere: every shard answers the whole
+            # static batch and the partial lists concatenate in shard
+            # order.
+            for vid in static:
+                merged[vid] = []
+            for part in self.router.gather("neighbors_many", edge_label,
+                                           static, direction):
+                for vid, pairs in part.items():
+                    merged[vid].extend(pairs)
         return merged
 
     # -- scans -------------------------------------------------------------
@@ -674,8 +691,15 @@ class ShardedTransaction:
         yield from heapq.merge(
             *parts, key=lambda pair: pair[0], reverse=reverse)
 
+    def _scan(self, method: str, label: str) -> list:
+        """Per-shard partials of a whole-label scan; a static-only label
+        lives on shard 0 alone, so nobody else is asked."""
+        if label in STATIC_LABELS:
+            return [self.router.call(0, method, label)]
+        return self.router.gather(method, label)
+
     def vertices(self, label: str) -> Iterator[tuple[int, dict]]:
-        for part in self.router.gather("vertices", label):
+        for part in self._scan("vertices", label):
             yield from part
 
     def edges(self, edge_label: str,
@@ -684,4 +708,4 @@ class ShardedTransaction:
             yield from part
 
     def count_vertices(self, label: str) -> int:
-        return sum(self.router.gather("count_vertices", label))
+        return sum(self._scan("count_vertices", label))

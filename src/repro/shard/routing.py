@@ -31,7 +31,7 @@ from typing import Any
 
 from ..ids import EntityKind, serial_of
 from ..schema.dataset import SocialNetwork
-from ..store.loader import create_snb_indexes, load_network
+from ..store.loader import VertexLabel, create_snb_indexes, load_network
 
 _SERIAL_BITS = 56
 
@@ -39,6 +39,13 @@ _SERIAL_BITS = 56
 STATIC_KINDS = frozenset({
     int(EntityKind.TAG), int(EntityKind.TAG_CLASS),
     int(EntityKind.PLACE), int(EntityKind.ORGANISATION),
+})
+
+#: The vertex labels of those kinds: a whole-label scan of one is served
+#: by shard 0 alone.
+STATIC_LABELS = frozenset({
+    VertexLabel.TAG, VertexLabel.TAG_CLASS,
+    VertexLabel.PLACE, VertexLabel.ORGANISATION,
 })
 
 

@@ -474,11 +474,31 @@ class Transaction:
         """Batched :meth:`vertex`: vid → props for the *visible* subset.
 
         One round trip on the sharded store (each shard resolves its
-        owned slice of the batch); a plain loop here.
+        owned slice of the batch).  Read-only transactions — every SNB
+        read, and every shard worker serving one — take a tight loop:
+        the open check, the table and the snapshot are resolved once
+        and the head-version visibility test is inlined.
         """
+        self._check_open()
+        if self.new_vertices or self.updated_vertices:
+            lookups = ((vid, self.vertex(label, vid)) for vid in vids)
+            return {vid: props for vid, props in lookups
+                    if props is not None}
         result: dict[int, dict[str, Any]] = {}
+        table = self.store._vertices.get(label)
+        if table is None:
+            return result
+        snapshot = self.snapshot
+        find = table.get
         for vid in vids:
-            props = self.vertex(label, vid)
+            record = find(vid)
+            if record is None:
+                continue
+            versions = record.versions
+            if versions and versions[-1][0] <= snapshot:
+                props = versions[-1][1]
+            else:
+                props = record.visible(snapshot)
             if props is not None:
                 result[vid] = props
         return result
@@ -540,12 +560,29 @@ class Transaction:
                        ) -> dict[int, list[tuple[int, dict | None]]]:
         """Batched :meth:`neighbors`: vid → materialized pair list.
 
-        The 2-hop traversals (``friends_within``, Q5's membership and
-        container scans) go through this so the sharded store can
-        scatter one request per shard and aggregate partial adjacency
-        maps instead of paying one round trip per vertex.
+        Every SNB read expands whole frontiers through this, so the
+        sharded store can scatter one request per shard and aggregate
+        partial adjacency maps instead of paying one round trip per
+        vertex.  Each list keeps the vertex's adjacency order.  Without
+        own edge writes or an adjacency cache it is a tight loop: open
+        check, table and snapshot resolved once, per-record visibility
+        inline (records appended meanwhile carry a newer timestamp and
+        are filtered like any other invisible record).
         """
-        return {vid: list(self.neighbors(edge_label, vid, direction))
+        self._check_open()
+        store = self.store
+        if self.new_edges or store.adjacency_cache is not None:
+            return {vid: list(self.neighbors(edge_label, vid, direction))
+                    for vid in vids}
+        table = (store._out if direction is Direction.OUT
+                 else store._in).get(edge_label)
+        if table is None:
+            return {vid: [] for vid in vids}
+        snapshot = self.snapshot
+        find = table.get
+        return {vid: [(record.other, record.props)
+                      for record in find(vid, ())
+                      if record.ts <= snapshot]
                 for vid in vids}
 
     def csr_snapshot(self, edge_label: str,
