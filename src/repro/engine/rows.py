@@ -187,9 +187,12 @@ class Table:
         to_position = self.schema.position(to_column)
         index = self._hash_indexes.get(from_column)
         if index is not None:
+            # list(): a driver partition on another thread may insert a
+            # new key while this one builds; iterating the live dict
+            # would raise "dictionary changed size during iteration".
             graph = CSRGraph.from_adjacency(
                 {source: [row[to_position] for row in rows]
-                 for source, rows in index.items()})
+                 for source, rows in list(index.items())})
         else:
             graph = CSRGraph.from_edges(
                 (row[from_position], row[to_position])

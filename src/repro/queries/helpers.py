@@ -18,7 +18,6 @@ vertex's adjacency-list order.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable
 
 from ..errors import NotFoundError
@@ -96,7 +95,9 @@ def messages_of_many(txn: Transaction, person_ids: Iterable[int],
 
 def message_props(txn: Transaction, message_id: int) -> dict | None:
     """Properties of a post or comment, dispatching on the id space."""
-    return txn.vertex(message_label(message_id), message_id)
+    if is_kind(message_id, EntityKind.POST):
+        return txn.vertex(VertexLabel.POST, message_id)
+    return txn.vertex(VertexLabel.COMMENT, message_id)
 
 
 def message_props_many(txn: Transaction, message_ids: Iterable[int],
@@ -114,11 +115,12 @@ def message_props_many(txn: Transaction, message_ids: Iterable[int],
 
 def message_label(message_id: int) -> str:
     """Vertex label for a message id."""
-    return VertexLabel.POST if is_post(message_id) else VertexLabel.COMMENT
+    return (VertexLabel.POST if is_kind(message_id, EntityKind.POST)
+            else VertexLabel.COMMENT)
 
 
-#: ``is_post(message_id)``: is the message a post (else a comment)?
-is_post = partial(is_kind, kind=EntityKind.POST)
+def is_post(message_id: int) -> bool:
+    return is_kind(message_id, EntityKind.POST)
 
 
 def creator_of(txn: Transaction, message_id: int) -> int:

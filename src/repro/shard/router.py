@@ -69,13 +69,9 @@ from .txlog import COORDINATOR_LOG, CoordinatorLog
 from .worker import ShardDurability, ShardFaultPlan, shard_worker_main
 
 #: Mutation-canary hook (see :mod:`repro.validation.canary`): when set
-#: to a shard index, every :meth:`ShardRouter.gather` (whole-label
-#: scans, the merged snapshot, static-anchor adjacency) silently drops
-#: that shard's partial results — a seeded routing bug the validation
-#: harness must catch via checkpoint digests.  ``call_many`` is exempt:
-#: a batch that loses a shard's rows fails loudly in the queries'
-#: ``require_many`` / ``creators_of_many`` checks, which is no test of
-#: the harness.
+#: to a shard index, scatter-gather reads silently drop that shard's
+#: partial results — a seeded routing bug the validation harness must
+#: catch via golden reads / checkpoint digests.
 _canary_drop_shard: int | None = None
 
 
@@ -384,10 +380,12 @@ class ShardRouter:
 
     def call_many(self, per_shard: dict[int, tuple]) -> dict[int, Any]:
         """Different arguments per shard, one fan-out; shard → result."""
+        items = [(shard, call) for shard, call in per_shard.items()
+                 if shard != _canary_drop_shard]
         results = self._fan_out([
             (self.handles[shard], method, tuple(args), self.request_timeout)
-            for shard, (method, *args) in per_shard.items()])
-        return dict(zip(per_shard, results))
+            for shard, (method, *args) in items])
+        return dict(zip((shard for shard, __ in items), results))
 
     # -- reads -------------------------------------------------------------
 

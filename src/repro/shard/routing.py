@@ -41,12 +41,11 @@ STATIC_KINDS = frozenset({
     int(EntityKind.PLACE), int(EntityKind.ORGANISATION),
 })
 
-#: The vertex labels of those kinds: a whole-label scan of one is served
+#: The vertex labels of those kinds (``VertexLabel`` names its constants
+#: after ``EntityKind``'s members): a whole-label scan of one is served
 #: by shard 0 alone.
-STATIC_LABELS = frozenset({
-    VertexLabel.TAG, VertexLabel.TAG_CLASS,
-    VertexLabel.PLACE, VertexLabel.ORGANISATION,
-})
+STATIC_LABELS = frozenset(
+    getattr(VertexLabel, EntityKind(kind).name) for kind in STATIC_KINDS)
 
 
 def is_static(vid: int) -> bool:

@@ -476,8 +476,7 @@ class Transaction:
         One round trip on the sharded store (each shard resolves its
         owned slice of the batch).  Read-only transactions — every SNB
         read, and every shard worker serving one — take a tight loop:
-        the open check, the table and the snapshot are resolved once
-        and the head-version visibility test is inlined.
+        the open check, the table and the snapshot are resolved once.
         """
         self._check_open()
         if self.new_vertices or self.updated_vertices:
@@ -494,11 +493,7 @@ class Transaction:
             record = find(vid)
             if record is None:
                 continue
-            versions = record.versions
-            if versions and versions[-1][0] <= snapshot:
-                props = versions[-1][1]
-            else:
-                props = record.visible(snapshot)
+            props = record.visible(snapshot)
             if props is not None:
                 result[vid] = props
         return result

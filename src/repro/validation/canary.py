@@ -68,9 +68,9 @@ def canary_bug(sut: str = "engine"):
             COMPLEX_QUERIES[2] = saved_q2
             SHORT_QUERIES[4] = saved_s4
     elif sut == "sharded":
-        # Shard-router mutation: drop shard 0 from every ``gather``,
+        # Shard-router mutation: drop shard 0 from every scatter-gather,
         # simulating a routing bug that silently loses a partition.
-        # Whole-label scans miss rows and checkpoint digests diverge,
+        # Golden reads see missing rows and checkpoint digests diverge,
         # so ``validate --check --sut sharded --canary`` must FAIL.
         from ..shard import router as shard_router
 

@@ -14,6 +14,9 @@ same canonical form so a disagreement means the same thing everywhere:
   ``person_language``), every query compares on the full canonical row;
   this function stays the one place to register a projection should a
   future SUT genuinely not produce a column;
+* :func:`read_outcome` executes one read and returns that form, turning
+  a raised exception into an ``<error>`` row so it compares (and diffs)
+  like any other wrong answer;
 * :func:`diff_results` produces a structured :class:`ResultDiff` — the
   first differing rows *per column*, not just row counts.
 
@@ -55,6 +58,21 @@ def comparable(query_id: int, rows) -> object:
     until the engine grew ``person_email`` / ``person_language``.
     """
     return canonicalize(rows)
+
+
+def read_outcome(sut, op) -> object:
+    """What one read produced on ``sut``, in :func:`comparable` form.
+
+    A read that raises yields a one-row ``<error>`` result instead of
+    propagating: a SUT failing a read the other side (or the golden
+    expectation) answers is a disagreement to report — with its diff,
+    replay bundle and shrink — exactly like wrong rows, not a crash of
+    the harness.  Two SUTs raising the same error still agree.
+    """
+    try:
+        return comparable(op.query_id, sut.execute(op).value)
+    except Exception as exc:
+        return [{"<error>": f"{type(exc).__name__}: {exc}"}]
 
 
 def canonical_json(value) -> str:

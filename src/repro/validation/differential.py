@@ -22,7 +22,7 @@ from ..cache.memo import touched_refs
 from ..curation.curator import CuratedWorkloadParams
 from ..datagen.update_stream import SplitDataset
 from ..workload.operations import EntityRef
-from .canonical import ResultDiff, comparable, diff_results
+from .canonical import ResultDiff, diff_results, read_outcome
 from .replay import FailingCheck, ReplayBundle
 from .snapshot import SectionDiff, diff_snapshots
 
@@ -223,9 +223,8 @@ def _run_differential(split, params, left_sut, right_sut, *,
             report.updates_applied += 1
         elif step.action == "complex":
             op = ComplexRead(step.query_id, step.params)
-            left = comparable(step.query_id, left_sut.execute(op).value)
-            right = comparable(step.query_id,
-                               right_sut.execute(op).value)
+            left = read_outcome(left_sut, op)
+            right = read_outcome(right_sut, op)
             report.reads_checked += 1
             if left != right:
                 record(step_no, f"Q{step.query_id}", step.params,
@@ -234,9 +233,8 @@ def _run_differential(split, params, left_sut, right_sut, *,
                        diff=diff_results(left, right))
         elif step.action == "short":
             op = ShortRead(step.query_id, step.entity)
-            left = comparable(step.query_id, left_sut.execute(op).value)
-            right = comparable(step.query_id,
-                               right_sut.execute(op).value)
+            left = read_outcome(left_sut, op)
+            right = read_outcome(right_sut, op)
             report.reads_checked += 1
             if left != right:
                 record(step_no, f"S{step.query_id}", step.entity,

@@ -32,7 +32,13 @@ from ..datagen.pipeline import generate
 from ..datagen.update_stream import SplitDataset, split_network
 from ..errors import BenchmarkError
 from ..workload.operations import EntityRef
-from .canonical import ResultDiff, canonicalize, comparable, diff_results
+from .canonical import (
+    ResultDiff,
+    canonicalize,
+    comparable,
+    diff_results,
+    read_outcome,
+)
 from .differential import build_plan
 from .replay import FailingCheck, ReplayBundle, ShrinkResult, shrink
 from .snapshot import snapshot_digest, snapshot_store, sut_snapshot
@@ -269,8 +275,7 @@ def _replay_golden(records, split, sut, sut_name, report, applied,
             query_id = record["q"]
             params_type = COMPLEX_QUERIES[query_id].params_type
             binding = params_type(**record["params"])
-            value = sut.execute(ComplexRead(query_id, binding)).value
-            actual = comparable(query_id, value)
+            actual = read_outcome(sut, ComplexRead(query_id, binding))
             report.reads_checked += 1
             if actual != record["expect"]:
                 record_mismatch(
@@ -282,8 +287,7 @@ def _replay_golden(records, split, sut, sut_name, report, applied,
         elif op_kind == "short":
             query_id = record["q"]
             entity = EntityRef.of(record["entity"])
-            value = sut.execute(ShortRead(query_id, entity)).value
-            actual = canonicalize(value)
+            actual = read_outcome(sut, ShortRead(query_id, entity))
             report.reads_checked += 1
             if actual != record["expect"]:
                 record_mismatch(

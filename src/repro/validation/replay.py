@@ -26,9 +26,8 @@ from ..workload.operations import EntityRef
 from .canonical import (
     ColumnDiff,
     ResultDiff,
-    canonicalize,
-    comparable,
     diff_results,
+    read_outcome,
 )
 
 REPLAY_FORMAT = "snb-replay/1"
@@ -195,14 +194,12 @@ def run_check(split: SplitDataset, update_indices: list[int],
 
         op = _check_op(failing)
         if failing.sut is None:
-            left = comparable(failing.query_id, store.execute(op).value)
-            right = comparable(failing.query_id,
-                               engine.execute(op).value)
+            left = read_outcome(store, op)
+            right = read_outcome(engine, op)
         else:
             sut = engine if failing.sut == "engine" else store
             left = failing.expected
-            right = comparable(failing.query_id,
-                               canonicalize(sut.execute(op).value))
+            right = read_outcome(sut, op)
         if left == right:
             return None
         return diff_results(left, right)

@@ -70,6 +70,26 @@ class TestRunDifferential:
         assert "OK — systems agree" in render_differential(report)
 
 
+    def test_read_raising_on_one_side_is_a_mismatch(self, small_split,
+                                                    small_params):
+        """A SUT that fails a read disagrees — diff, bundle and all —
+        instead of crashing the run."""
+        class BrokenQ2(StoreSUT):
+            def execute(self, op):
+                if op.op_class == "Q2":
+                    raise LookupError("lost partition")
+                return super().execute(op)
+
+        report, bundle = run_differential(
+            small_split, small_params, persons=60, seed=11,
+            batch_size=300, left_factory=BrokenQ2.for_network,
+            right_factory=StoreSUT.for_network)
+        assert {m.label for m in report.mismatches} == {"Q2"}
+        assert "LookupError: lost partition" in \
+            render_differential(report)
+        assert bundle is not None and bundle.failing.query_id == 2
+
+
 class TestDifferentialConnector:
     def test_driver_run_agrees_and_converges(self, small_split,
                                              small_params):

@@ -108,6 +108,20 @@ class TestCommittedGolden:
         assert "canary detected" in out
         assert "shrunk to 0 updates" in out
 
+    def test_cli_shard_router_canary_is_detected_at_read_level(
+            self, capsys):
+        """A shard dropped from every scatter-gather — the batched
+        reads' ``call_many`` included — makes reads return short or
+        raise; either way the check reports per-read mismatches and a
+        shrunk counterexample, not a traceback."""
+        code = main(["validate", "--check", COMMITTED,
+                     "--sut", "sharded", "--canary"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "canary detected" in out
+        assert "shrunk to 0 updates" in out
+        assert " Q1 params=" in out and "<error>" in out
+
     def test_cli_undetected_canary_fails(self, tiny_golden, capsys,
                                          monkeypatch):
         """If the harness stops comparing, the canary job must fail."""
