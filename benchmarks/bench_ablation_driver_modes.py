@@ -33,7 +33,7 @@ def _run(ops, mode, window_millis=None):
     return report.ops_per_second, tracked
 
 
-def test_ablation_execution_modes(benchmark):
+def test_ablation_driver_modes(benchmark):
     ops = synthetic_sf10_stream(num_ops=5000)
     results = {}
     results["parallel"] = _run(ops, ExecutionMode.PARALLEL)

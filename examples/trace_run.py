@@ -5,7 +5,7 @@ Run:  python examples/trace_run.py [out.json]
 Open the resulting file in chrome://tracing (about:tracing) or
 https://ui.perfetto.dev to see the span hierarchy: each scheduler
 partition is a track; operations nest connector dispatch, query
-execution, and — on the engine SUT — every volcano operator with its
+execution, and — on the engine SUT — every engine operator with its
 ``tuples_out`` count.
 """
 

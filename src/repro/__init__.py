@@ -10,7 +10,7 @@ Interactive stack:
 * :mod:`repro.schema` — the 11-entity / 20-relation SNB schema;
 * :mod:`repro.store` — an MVCC snapshot-isolation property-graph store
   (the native-API SUT);
-* :mod:`repro.engine` — a volcano-style relational engine with a
+* :mod:`repro.engine` — a chunk-at-a-time relational engine with a
   cost-based optimizer (the SQL SUT);
 * :mod:`repro.queries` — the 14 complex reads, 7 short reads and 8
   transactional updates;

@@ -133,7 +133,7 @@ class StoreSUT(BaseSUT):
 
 
 class EngineSUT(BaseSUT):
-    """The relational volcano engine (explicit-plan implementation)."""
+    """The relational engine (explicit-plan implementation)."""
 
     name = "relational-engine"
 

@@ -1,4 +1,4 @@
-"""Relational volcano-style engine — the second system under test.
+"""Relational chunk-at-a-time engine — the second system under test.
 
 The paper's evaluation runs SNB-Interactive on Virtuoso, a relational
 store, with "queries in SQL with vendor-specific extensions for graph
@@ -9,10 +9,13 @@ algorithms" and *explicit plans*.  This package plays that role:
 * :mod:`repro.engine.catalog` — the SNB relational schema (person, knows,
   message, likes, forum, membership, ...), loaded from a generated
   network, plus table statistics;
-* :mod:`repro.engine.operators` — volcano iterators: scans, index
-  lookups, index-nested-loop and hash joins, sort/limit/aggregate, and a
-  transitive-expansion operator (the "vendor extension" for graph
-  traversals);
+* :mod:`repro.engine.chunks` / :mod:`repro.engine.predicates` — the
+  columnar chunk operators exchange, and the declarative residual
+  predicates evaluated over chunk columns;
+* :mod:`repro.engine.operators` — pull-based operators exchanging
+  chunks: scans, index lookups, index-nested-loop and hash joins,
+  sort/limit/aggregate, and a transitive-expansion operator (the
+  "vendor extension" for graph traversals);
 * :mod:`repro.engine.cardinality` — statistics-based cardinality
   estimates for friendship expansions (the paper's hardest choke point);
 * :mod:`repro.engine.optimizer` — cost-based join-type selection,

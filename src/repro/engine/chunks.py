@@ -1,69 +1,20 @@
-"""Columnar chunk format and the engine execution-mode switch.
+"""Columnar chunk format: the unit operators exchange.
 
-The vectorized engine moves batches of ``CHUNK_SIZE`` rows between
-operators as *chunks*: parallel column arrays (plain Python lists /
-tuples), so per-operator work is bulk list comprehensions, ``zip``
-transposes and set operations — all C-level loops — instead of one
-Python-level generator hop per row per operator.
-
-Two execution modes share the same operator tree and produce identical
-results:
-
-* ``vectorized`` (default) — operators exchange :class:`Chunk` batches;
-* ``tuple`` — the original volcano ``__next__`` path, kept for the
-  tuple-vs-vectorized A/B bench and as the semantics reference.
-
-The mode is a process-global (the engine is single-threaded per
-process); ``engine_mode`` is the context-manager form used by tests and
-the A/B bench.  ``REPRO_ENGINE_MODE`` selects the startup default so CI
-can smoke both paths without code changes.
+The engine moves batches of up to ``CHUNK_SIZE`` rows between operators
+as *chunks*: parallel column arrays (plain Python lists / tuples), so
+per-operator work is bulk list comprehensions, ``zip`` transposes and
+set operations — all C-level loops — instead of one Python-level
+generator hop per row per operator.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
-
-from ..errors import EngineError
 
 #: Rows per chunk.  Large enough to amortize per-chunk overhead, small
 #: enough that gather buffers stay cache-friendly.
 CHUNK_SIZE = 1024
-
-TUPLE = "tuple"
-VECTORIZED = "vectorized"
-_MODES = (TUPLE, VECTORIZED)
-
-_mode = os.environ.get("REPRO_ENGINE_MODE", VECTORIZED)
-if _mode not in _MODES:
-    _mode = VECTORIZED
-
-
-def execution_mode() -> str:
-    """The currently active engine execution mode."""
-    return _mode
-
-
-def set_execution_mode(mode: str) -> str:
-    """Set the mode; returns the previous one (for restore)."""
-    global _mode
-    if mode not in _MODES:
-        raise EngineError(
-            f"unknown engine mode {mode!r}; expected one of {_MODES}")
-    previous = _mode
-    _mode = mode
-    return previous
-
-
-@contextmanager
-def engine_mode(mode: str):
-    """Temporarily switch execution mode (A/B benches, tests)."""
-    previous = set_execution_mode(mode)
-    try:
-        yield
-    finally:
-        set_execution_mode(previous)
 
 
 class Chunk:
@@ -100,8 +51,8 @@ class Chunk:
         return cls(columns)
 
 
-def chunk_rows(rows: Sequence[tuple], width: int,
-               size: int = CHUNK_SIZE) -> Iterator[Chunk]:
-    """Slice a materialized row list into chunks."""
-    for start in range(0, len(rows), size):
-        yield Chunk.from_rows(rows[start:start + size], width)
+def chunk_rows(rows: Iterable[tuple], width: int) -> Iterator[Chunk]:
+    """Batch a row stream (or list) into chunks, lazily."""
+    stream = iter(rows)
+    while block := list(islice(stream, CHUNK_SIZE)):
+        yield Chunk.from_rows(block, width)

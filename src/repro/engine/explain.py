@@ -24,7 +24,10 @@ def explain(root: Operator, show_actuals: bool = False) -> str:
         if show_actuals:
             notes.append(f"out={op.tuples_out}")
         note = f"  [{' '.join(notes)}]" if notes else ""
-        lines.append("  " * depth + op.label + note)
+        # An INL join applies its pushed-down residual itself.
+        residual = getattr(op, "residual", None)
+        where = f" where {residual!r}" if residual is not None else ""
+        lines.append("  " * depth + op.label + where + note)
         for child in op.children:
             visit(child, depth + 1)
 

@@ -1,29 +1,21 @@
-"""Physical operators: dual-mode volcano / vectorized execution.
+"""Physical operators: operators exchange chunks.
 
-Every operator is an iterable of tuples with a :class:`~.rows.Schema`.
-Operators count the tuples they produce (``tuples_out``) — these are the
-*de facto* intermediate result cardinalities the parameter-curation cost
-function ``C_out`` is defined over (paper §4.1: "as opposed to estimates
-of C_out ... we use the de facto amounts of intermediate result
-cardinalities"), and what the Figure 4 bench reports per plan node.
+Every operator produces a stream of :class:`~.chunks.Chunk` batches —
+parallel column arrays — under a :class:`~.rows.Schema`, and does its
+work as bulk list comprehensions / ``zip`` transposes / set operations;
+iterating an operator is the row view over that stream.
+``TransitiveExpand`` expands whole BFS frontiers at once against the
+packed CSR adjacency (:meth:`~.rows.Table.csr`).
 
-Two execution strategies share each operator (selected globally by
-:func:`~.chunks.execution_mode`):
-
-* ``_produce()`` — the original tuple-at-a-time volcano path, one
-  Python generator hop per row per operator;
-* ``_produce_chunks()`` — batch-at-a-time columnar execution: operators
-  exchange :class:`~.chunks.Chunk` batches of parallel column arrays
-  and do their work as bulk list comprehensions / ``zip`` transposes /
-  set operations.  ``TransitiveExpand`` additionally switches from
-  per-node index probes to the packed CSR adjacency
-  (:meth:`~.rows.Table.csr`), expanding whole BFS frontiers at once.
-
-Both paths produce the same rows; ``tuples_out`` counts identically
-(chunk emission adds ``len(chunk)``).  Consumers that abandon iteration
-early (Limit, TopK over a streaming child) may leave a producer's count
-up to one chunk higher in vectorized mode — the full-materialization
-counts the benches and tests compare are unaffected.
+Operators count the tuples they produce (``tuples_out``, ``len(chunk)``
+per emitted chunk) — these are the *de facto* intermediate result
+cardinalities the parameter-curation cost function ``C_out`` is defined
+over (paper §4.1: "as opposed to estimates of C_out ... we use the de
+facto amounts of intermediate result cardinalities"), and what the
+Figure 4 bench reports per plan node.  A consumer that abandons
+iteration early (Limit, Q13's shortest path) leaves its producer's
+count at the chunks actually pulled; the full-materialization counts
+the benches and tests compare are unaffected.
 """
 
 from __future__ import annotations
@@ -35,13 +27,13 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .. import telemetry
 from ..errors import EngineError
-from .chunks import CHUNK_SIZE, VECTORIZED, Chunk, execution_mode
+from .chunks import CHUNK_SIZE, Chunk, chunk_rows
 from .predicates import Predicate
 from .rows import Schema, Table
 
 
 class Operator:
-    """Base class: iterable of tuples with an output schema."""
+    """Base class: a chunk stream (iterable as tuples) with a schema."""
 
     def __init__(self, schema: Schema, label: str) -> None:
         self.schema = schema
@@ -52,51 +44,8 @@ class Operator:
         #: for hand-built trees).  Rendered by EXPLAIN next to actuals.
         self.estimated_rows: float | None = None
 
-    # -- tuple-at-a-time path ------------------------------------------------
-
-    def _produce(self) -> Iterator[tuple]:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[tuple]:
-        if execution_mode() == VECTORIZED:
-            return self._iter_chunk_rows()
-        if telemetry.active:
-            return self._iter_traced()
-        return self._iter_plain()
-
-    def _iter_plain(self) -> Iterator[tuple]:
-        for row in self._produce():
-            self.tuples_out += 1
-            yield row
-
-    def _iter_traced(self) -> Iterator[tuple]:
-        # The span covers this operator's whole iteration, including
-        # time spent suspended while the consumer works; children pulled
-        # inside _produce() nest under it.  The tuples_out attribute is
-        # what feeds ``explain(show_actuals=True)`` and the trace view,
-        # and is recorded even when a consumer (Limit, TopK) abandons
-        # the iterator early.
-        with telemetry.span("engine." + self.label) as span:
-            try:
-                for row in self._produce():
-                    self.tuples_out += 1
-                    yield row
-            finally:
-                span.set("tuples_out", self.tuples_out)
-
-    # -- batch-at-a-time path ------------------------------------------------
-
     def _produce_chunks(self) -> Iterator[Chunk]:
-        # Fallback so hand-built operators without a vectorized form
-        # still run under the vectorized engine: batch the tuple path.
-        rows: list[tuple] = []
-        for row in self._produce():
-            rows.append(row)
-            if len(rows) >= CHUNK_SIZE:
-                yield Chunk.from_rows(rows, len(self.schema))
-                rows = []
-        if rows:
-            yield Chunk.from_rows(rows, len(self.schema))
+        raise NotImplementedError
 
     def chunks(self) -> Iterator[Chunk]:
         """Chunk stream with counting and (optional) tracing."""
@@ -110,6 +59,12 @@ class Operator:
             yield chunk
 
     def _chunks_traced(self) -> Iterator[Chunk]:
+        # The span covers this operator's whole iteration, including
+        # time spent suspended while the consumer works; children pulled
+        # inside _produce_chunks() nest under it.  The tuples_out
+        # attribute is what feeds ``explain(show_actuals=True)`` and the
+        # trace view, and is recorded even when a consumer (Limit, TopK)
+        # abandons the iterator early.
         with telemetry.span("engine." + self.label) as span:
             try:
                 for chunk in self._produce_chunks():
@@ -118,12 +73,10 @@ class Operator:
             finally:
                 span.set("tuples_out", self.tuples_out)
 
-    def _iter_chunk_rows(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[tuple]:
         # Row view of the chunk stream; counting happens in chunks().
         for chunk in self.chunks():
             yield from chunk.rows()
-
-    # -- shared --------------------------------------------------------------
 
     def execute(self) -> list[tuple]:
         """Materialize the full result."""
@@ -131,16 +84,11 @@ class Operator:
 
     def execute_columns(self) -> list[list]:
         """Materialize the full result as parallel column arrays."""
-        if execution_mode() == VECTORIZED:
-            columns: list[list] = [[] for _ in self.schema.columns]
-            for chunk in self.chunks():
-                for acc, column in zip(columns, chunk.columns):
-                    acc.extend(column)
-            return columns
-        rows = self.execute()
-        if not rows:
-            return [[] for _ in self.schema.columns]
-        return [list(column) for column in zip(*rows)]
+        columns: list[list] = [[] for _ in self.schema.columns]
+        for chunk in self.chunks():
+            for acc, column in zip(columns, chunk.columns):
+                acc.extend(column)
+        return columns
 
     def reset_counters(self) -> None:
         self.tuples_out = 0
@@ -148,12 +96,26 @@ class Operator:
             child.reset_counters()
 
 
-def _resolve_predicate(predicate, schema: Schema):
-    """Normalize a residual into ``(row_fn, predicate_or_None)``."""
+def _keep_indices(predicate, schema: Schema):
+    """Normalize a residual into a ``columns → surviving indices`` pass.
+
+    A declarative :class:`~.predicates.Predicate` scans only the columns
+    it names; a plain row callable (hand-built trees) sees row tuples.
+    """
     if isinstance(predicate, Predicate):
         predicate.resolve(schema)
-        return predicate.row_fn(), predicate
-    return predicate, None
+        return predicate.keep_indices
+    return lambda columns: [i for i, row in enumerate(zip(*columns))
+                            if predicate(row)]
+
+
+def _filtered(chunks: Iterable[Chunk], keep) -> Iterator[Chunk]:
+    """The non-empty chunks of survivors of a ``_keep_indices`` pass."""
+    for chunk in chunks:
+        kept = keep(chunk.columns)
+        if kept:
+            yield chunk if len(kept) == len(chunk) \
+                else chunk.gather(kept)
 
 
 class Scan(Operator):
@@ -164,44 +126,19 @@ class Scan(Operator):
                  = None) -> None:
         super().__init__(table.schema, f"scan({table.name})")
         self.table = table
-        if predicate is None:
-            self.predicate = None
-            self._columnar = None
-        else:
-            self.predicate, self._columnar = _resolve_predicate(
-                predicate, table.schema)
-
-    def _produce(self) -> Iterator[tuple]:
-        if self.predicate is None:
-            yield from self.table.rows
-        else:
-            for row in self.table.rows:
-                if self.predicate(row):
-                    yield row
+        self._keep = None if predicate is None \
+            else _keep_indices(predicate, table.schema)
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         rows = self.table.rows
         width = len(self.schema)
-        for start in range(0, len(rows), CHUNK_SIZE):
-            block = rows[start:start + CHUNK_SIZE]
-            chunk = Chunk.from_rows(block, width)
-            if self.predicate is not None:
-                if self._columnar is not None:
-                    kept = self._columnar.keep_indices(chunk.columns)
-                    if len(kept) == len(block):
-                        yield chunk
-                        continue
-                    if not kept:
-                        continue
-                    chunk = chunk.gather(kept)
-                else:
-                    predicate = self.predicate
-                    survivors = [row for row in block if predicate(row)]
-                    if not survivors:
-                        continue
-                    chunk = Chunk.from_rows(survivors, width)
-            if len(chunk):
-                yield chunk
+        # List slices, not chunk_rows(): a hash join's build side scans
+        # whole tables, and a slice is one copy, not one hop per row.
+        chunks = (Chunk.from_rows(rows[start:start + CHUNK_SIZE], width)
+                  for start in range(0, len(rows), CHUNK_SIZE))
+        if self._keep is None:
+            return chunks
+        return _filtered(chunks, self._keep)
 
 
 class IndexRangeScan(Operator):
@@ -216,21 +153,10 @@ class IndexRangeScan(Operator):
         self.high = high
         self.reverse = reverse
 
-    def _produce(self) -> Iterator[tuple]:
-        yield from self.table.range_scan(self.low, self.high,
-                                         self.reverse)
-
     def _produce_chunks(self) -> Iterator[Chunk]:
-        width = len(self.schema)
-        rows: list[tuple] = []
-        for row in self.table.range_scan(self.low, self.high,
-                                         self.reverse):
-            rows.append(row)
-            if len(rows) >= CHUNK_SIZE:
-                yield Chunk.from_rows(rows, width)
-                rows = []
-        if rows:
-            yield Chunk.from_rows(rows, width)
+        return chunk_rows(
+            self.table.range_scan(self.low, self.high, self.reverse),
+            len(self.schema))
 
 
 class KeyLookup(Operator):
@@ -244,36 +170,20 @@ class KeyLookup(Operator):
         self.keys = keys
         self.column = column
 
-    def _produce(self) -> Iterator[tuple]:
-        if self.column is None:
-            for key in self.keys:
-                row = self.table.get_pk(key)
-                if row is not None:
-                    yield row
-        else:
-            for key in self.keys:
-                yield from self.table.probe(self.column, key)
-
     def _produce_chunks(self) -> Iterator[Chunk]:
         width = len(self.schema)
-        rows: list[tuple] = []
         if self.column is None:
-            get_pk = self.table.get_pk
-            for key in self.keys:
-                row = get_pk(key)
-                if row is not None:
-                    rows.append(row)
-                    if len(rows) >= CHUNK_SIZE:
-                        yield Chunk.from_rows(rows, width)
-                        rows = []
-        else:
-            probe = self.table.probe
-            column = self.column
-            for key in self.keys:
-                rows.extend(probe(column, key))
-                if len(rows) >= CHUNK_SIZE:
-                    yield Chunk.from_rows(rows, width)
-                    rows = []
+            yield from chunk_rows(
+                filter(None, map(self.table.get_pk, self.keys)), width)
+            return
+        # One bulk extend per key's posting list, not one hop per row.
+        rows: list[tuple] = []
+        for matches in map(self.table.probe, _repeat(self.column),
+                           self.keys):
+            rows.extend(matches)
+            if len(rows) >= CHUNK_SIZE:
+                yield Chunk.from_rows(rows, width)
+                rows = []
         if rows:
             yield Chunk.from_rows(rows, width)
 
@@ -281,50 +191,21 @@ class KeyLookup(Operator):
 class Filter(Operator):
     """Residual predicate over any input operator.
 
-    Accepts either a plain row callable (volcano-era residuals) or a
-    declarative :class:`~.predicates.Predicate`, which additionally
-    evaluates column-at-a-time under vectorized execution.
+    Accepts either a declarative :class:`~.predicates.Predicate`,
+    evaluated column-at-a-time, or a plain row callable (hand-built
+    trees).
     """
 
     def __init__(self, child: Operator,
                  predicate: Callable[[tuple], bool] | Predicate,
-                 label: str = "filter",
-                 prefiltered: bool = False) -> None:
+                 label: str = "filter") -> None:
         super().__init__(child.schema, label)
         self.child = child
         self.children = [child]
-        self.predicate, self._columnar = _resolve_predicate(
-            predicate, child.schema)
-        # True when the child already applied this predicate on its
-        # vectorized path (residual pushdown): chunks pass through
-        # untouched, while the volcano path still filters.
-        self.prefiltered = prefiltered
-
-    def _produce(self) -> Iterator[tuple]:
-        for row in self.child:
-            if self.predicate(row):
-                yield row
+        self._keep = _keep_indices(predicate, child.schema)
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        if self.prefiltered:
-            yield from self.child.chunks()
-            return
-        columnar = self._columnar
-        if columnar is not None:
-            for chunk in self.child.chunks():
-                kept = columnar.keep_indices(chunk.columns)
-                if len(kept) == len(chunk):
-                    yield chunk
-                elif kept:
-                    yield chunk.gather(kept)
-        else:
-            predicate = self.predicate
-            width = len(self.schema)
-            for chunk in self.child.chunks():
-                survivors = [row for row in chunk.rows()
-                             if predicate(row)]
-                if survivors:
-                    yield Chunk.from_rows(survivors, width)
+        return _filtered(self.child.chunks(), self._keep)
 
 
 class Project(Operator):
@@ -337,10 +218,6 @@ class Project(Operator):
         self.child = child
         self.children = [child]
         self.positions = [child.schema.position(c) for c in columns]
-
-    def _produce(self) -> Iterator[tuple]:
-        for row in self.child:
-            yield tuple(row[p] for p in self.positions)
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         positions = self.positions
@@ -373,25 +250,9 @@ class IndexNestedLoopJoin(Operator):
         # Late materialization: a pushed-down residual is evaluated on
         # candidate (outer index, inner row) pairs BEFORE the joined
         # columns are assembled, so rejected rows are never copied.
-        # Vectorized-path only — the volcano path leaves filtering to
-        # the Filter operator above (which, on the vectorized path,
-        # re-checks the surviving rows and passes chunks through).
         self.residual = residual
         if residual is not None:
             residual.resolve(schema)
-
-    def _produce(self) -> Iterator[tuple]:
-        if self.inner_column is None:
-            for outer_row in self.outer:
-                inner_row = self.inner.get_pk(
-                    outer_row[self.outer_position])
-                if inner_row is not None:
-                    yield outer_row + inner_row
-        else:
-            for outer_row in self.outer:
-                for inner_row in self.inner.probe(
-                        self.inner_column, outer_row[self.outer_position]):
-                    yield outer_row + inner_row
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         position = self.outer_position
@@ -499,14 +360,6 @@ class HashJoin(Operator):
         self.build_position = build.schema.position(build_key)
         self.probe_position = probe.schema.position(probe_key)
 
-    def _produce(self) -> Iterator[tuple]:
-        table: dict[Any, list[tuple]] = {}
-        for row in self.build:
-            table.setdefault(row[self.build_position], []).append(row)
-        for probe_row in self.probe:
-            for build_row in table.get(probe_row[self.probe_position], ()):
-                yield probe_row + build_row
-
     def _produce_chunks(self) -> Iterator[Chunk]:
         # Build: accumulate row tuples and a key → row-index multimap.
         table: dict[Any, list[int]] = {}
@@ -554,18 +407,12 @@ class Sort(Operator):
         self.key = key
         self.descending = descending
 
-    def _produce(self) -> Iterator[tuple]:
-        yield from sorted(self.child, key=self.key,
-                          reverse=self.descending)
-
     def _produce_chunks(self) -> Iterator[Chunk]:
         rows: list[tuple] = []
         for chunk in self.child.chunks():
             rows.extend(chunk.rows())
         rows.sort(key=self.key, reverse=self.descending)
-        width = len(self.schema)
-        for start in range(0, len(rows), CHUNK_SIZE):
-            yield Chunk.from_rows(rows[start:start + CHUNK_SIZE], width)
+        yield from chunk_rows(rows, len(self.schema))
 
 
 class TopK(Operator):
@@ -587,9 +434,6 @@ class TopK(Operator):
             return heapq.nsmallest(self.k, rows,
                                    key=lambda r: _neg(self.key(r)))
         return heapq.nsmallest(self.k, rows, key=self.key)
-
-    def _produce(self) -> Iterator[tuple]:
-        yield from self._select(self.child)
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         rows: list[tuple] = []
@@ -616,12 +460,6 @@ class Limit(Operator):
         self.children = [child]
         self.k = k
 
-    def _produce(self) -> Iterator[tuple]:
-        for i, row in enumerate(self.child):
-            if i >= self.k:
-                return
-            yield row
-
     def _produce_chunks(self) -> Iterator[Chunk]:
         remaining = self.k
         if remaining <= 0:
@@ -646,13 +484,6 @@ class Distinct(Operator):
         super().__init__(child.schema, "distinct")
         self.child = child
         self.children = [child]
-
-    def _produce(self) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self.child:
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         seen: set[tuple] = set()
@@ -708,14 +539,6 @@ class GroupAggregate(Operator):
             else:
                 raise EngineError(f"unknown aggregate {kind}")
 
-    def _produce(self) -> Iterator[tuple]:
-        groups: dict[tuple, list] = {}
-        for row in self.child:
-            key = tuple(row[p] for p in self.group_positions)
-            self._accumulate(groups, key, row)
-        for key, state in groups.items():
-            yield key + tuple(state)
-
     def _produce_chunks(self) -> Iterator[Chunk]:
         count_only = all(kind == "count"
                          for kind, _ in self.aggregates)
@@ -735,7 +558,6 @@ class GroupAggregate(Operator):
             else:
                 for key, row in zip(keys, chunk.rows()):
                     self._accumulate(groups, key, row)
-        width = len(self.schema)
         if count_only:
             n_aggs = len(self.aggregates)
             rows = [key + (count,) * n_aggs
@@ -743,8 +565,7 @@ class GroupAggregate(Operator):
         else:
             rows = [key + tuple(state)
                     for key, state in groups.items()]
-        for start in range(0, len(rows), CHUNK_SIZE):
-            yield Chunk.from_rows(rows[start:start + CHUNK_SIZE], width)
+        yield from chunk_rows(rows, len(self.schema))
 
 
 class Union(Operator):
@@ -756,10 +577,6 @@ class Union(Operator):
         super().__init__(inputs[0].schema, "union")
         self.inputs = inputs
         self.children = list(inputs)
-
-    def _produce(self) -> Iterator[tuple]:
-        for child in self.inputs:
-            yield from child
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         for child in self.inputs:
@@ -774,11 +591,10 @@ class TransitiveExpand(Operator):
     algorithms inside SQL queries").  Output schema: ``(node, distance)``
     for 1 ≤ distance ≤ max_depth, excluding the source.
 
-    Vectorized execution expands whole BFS frontiers against the packed
-    CSR adjacency (one slice-and-extend per frontier node, one set
-    difference per level) and emits one chunk per level — so a consumer
-    that stops early (Q13's shortest path) abandons the BFS at a level
-    boundary.
+    Expands whole BFS frontiers against the packed CSR adjacency (one
+    slice-and-extend per frontier node, one set difference per level)
+    and emits one chunk per level — so a consumer that stops early
+    (Q13's shortest path) abandons the BFS at a level boundary.
     """
 
     def __init__(self, edges: Table, source: Any, max_depth: int,
@@ -791,23 +607,6 @@ class TransitiveExpand(Operator):
         self.max_depth = max_depth
         self.from_column = from_column
         self.to_column = to_column
-
-    def _produce(self) -> Iterator[tuple]:
-        to_position = self.edges.schema.position(self.to_column)
-        seen = {self.source}
-        frontier = [self.source]
-        for depth in range(1, self.max_depth + 1):
-            next_frontier = []
-            for node in frontier:
-                for row in self.edges.probe(self.from_column, node):
-                    neighbor = row[to_position]
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        next_frontier.append(neighbor)
-                        yield neighbor, depth
-            frontier = next_frontier
-            if not frontier:
-                return
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         csr = self.edges.csr(self.from_column, self.to_column)

@@ -47,8 +47,8 @@ BUILD_COST = 1.0
 #: Cost units per produced output row.
 OUTPUT_COST = 0.2
 
-#: Residuals may be row callables (volcano-era) or declarative
-#: predicates (column-aware, vectorizable).
+#: Residuals may be declarative predicates (column-aware, pushed into
+#: INL joins) or plain row callables.
 Residual = Union[Callable[[tuple], bool], Predicate]
 
 
@@ -139,7 +139,7 @@ class PlannedPipeline:
         return self.root.execute()
 
     def execute_columns(self) -> list[list]:
-        """Full result as parallel column arrays (mode-aware)."""
+        """Full result as parallel column arrays."""
         return self.root.execute_columns()
 
 
@@ -266,17 +266,17 @@ class Optimizer:
                 f"cannot INL-join {step.inner_table}.{step.inner_column} "
                 "without an index")
 
+        residual = step.residual
         if algorithm == "inl":
-            # Declarative residuals are pushed into the join for late
-            # materialization (vectorized path): candidates the residual
-            # rejects are never assembled into output columns.  The
-            # Filter above still applies the predicate on the volcano
-            # path (and passes already-filtered chunks through).
-            pushed = step.residual \
-                if isinstance(step.residual, Predicate) else None
+            # A declarative residual is pushed into the join for late
+            # materialization: candidates it rejects are never assembled
+            # into output columns, and no Filter is stacked on top.
+            pushed = isinstance(residual, Predicate)
             joined: Operator = IndexNestedLoopJoin(
                 outer, inner, step.outer_key, step.inner_column,
-                residual=pushed)
+                residual=residual if pushed else None)
+            if pushed:
+                residual = None
         else:
             build: Operator = Scan(inner)
             if step.inner_column is None:
@@ -285,10 +285,6 @@ class Optimizer:
                               step.outer_key,
                               label=f"hashjoin({step.inner_table})",
                               prefix="inner_")
-        if step.residual is not None:
-            prefiltered = (algorithm == "inl"
-                           and isinstance(step.residual, Predicate))
-            joined = Filter(joined, step.residual,
-                            label=f"filter#{index}",
-                            prefiltered=prefiltered)
+        if residual is not None:
+            joined = Filter(joined, residual, label=f"filter#{index}")
         return joined

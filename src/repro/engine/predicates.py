@@ -1,18 +1,16 @@
 """Declarative column predicates for residual filters.
 
-A :class:`JoinStep` residual written as a plain ``lambda row: ...`` can
-only run row-at-a-time.  The declarative forms here name the column they
-test, so a :class:`~.operators.Filter` can resolve positions against its
-child schema once and then evaluate the predicate either way:
-
-* tuple mode — compiled to a ``row -> bool`` callable;
-* vectorized mode — evaluated as one pass over the named column,
-  producing the list of surviving row indices for a bulk gather.
+A :class:`JoinStep` residual written as a plain ``lambda row: ...`` has
+to see whole row tuples.  The declarative forms here name the column
+they test, so a :class:`~.operators.Filter` (or an index-nested-loop
+join carrying the residual) resolves positions against its schema once
+and then evaluates the predicate as one pass over the named column of
+each chunk, producing the list of surviving row indices for a bulk
+gather.
 
 Only the comparison shapes the 14 complex-read plans need are modelled;
-``Where`` covers anything else with a per-value function (still bulk in
-vectorized mode: one comprehension over a single column rather than one
-call per row per operator hop).
+``Where`` covers anything else with a per-value function (one
+comprehension over a single column rather than one call per row).
 """
 
 from __future__ import annotations
@@ -41,10 +39,6 @@ class Predicate:
         """Bind column names to positions in the input schema."""
         raise NotImplementedError
 
-    def row_fn(self) -> Callable[[tuple], bool]:
-        """Row-at-a-time form (after :meth:`resolve`)."""
-        raise NotImplementedError
-
     def keep_indices(self, columns: Sequence[Sequence]) -> list[int]:
         """Indices of surviving rows in one columnar pass."""
         raise NotImplementedError
@@ -66,10 +60,6 @@ class Compare(Predicate):
 
     def resolve(self, schema: Schema) -> None:
         self._position = schema.position(self.column)
-
-    def row_fn(self) -> Callable[[tuple], bool]:
-        position, fn, value = self._position, self._fn, self.value
-        return lambda row: fn(row[position], value)
 
     def keep_indices(self, columns: Sequence[Sequence]) -> list[int]:
         # map + compress keep the whole scan in C: no Python-level loop
@@ -99,12 +89,6 @@ class InSet(Predicate):
     def resolve(self, schema: Schema) -> None:
         self._position = schema.position(self.column)
 
-    def row_fn(self) -> Callable[[tuple], bool]:
-        position, values = self._position, self.values
-        if self.negate:
-            return lambda row: row[position] not in values
-        return lambda row: row[position] in values
-
     def keep_indices(self, columns: Sequence[Sequence]) -> list[int]:
         flags = map(self.values.__contains__, columns[self._position])
         if self.negate:
@@ -129,10 +113,6 @@ class Where(Predicate):
     def resolve(self, schema: Schema) -> None:
         self._position = schema.position(self.column)
 
-    def row_fn(self) -> Callable[[tuple], bool]:
-        position, fn = self._position, self.fn
-        return lambda row: fn(row[position])
-
     def keep_indices(self, columns: Sequence[Sequence]) -> list[int]:
         fn = self.fn
         column = columns[self._position]
@@ -155,12 +135,6 @@ class All(Predicate):
     def resolve(self, schema: Schema) -> None:
         for part in self.parts:
             part.resolve(schema)
-
-    def row_fn(self) -> Callable[[tuple], bool]:
-        fns = [part.row_fn() for part in self.parts]
-        if len(fns) == 1:
-            return fns[0]
-        return lambda row: all(fn(row) for fn in fns)
 
     def keep_indices(self, columns: Sequence[Sequence]) -> list[int]:
         # Each conjunct scans only its own column; the surviving index

@@ -109,7 +109,13 @@ class Table:
     # -- mutation -------------------------------------------------------------
 
     def insert(self, row: tuple) -> None:
-        """Append a row, maintaining all indexes."""
+        """Append a row, maintaining all indexes.
+
+        The row is published to ``rows`` *last*: ``len(rows)`` is the
+        epoch :meth:`csr` stamps its cache with, so every row an epoch
+        counts must already be in the indexes a concurrent reader (a
+        driver partition on another thread) builds from.
+        """
         if len(row) != len(self.schema):
             raise EngineError(
                 f"row arity {len(row)} != schema arity "
@@ -120,7 +126,6 @@ class Table:
                 raise DuplicateError(
                     f"{self.name}.{self.primary_key}={key} exists")
             self._pk_index[key] = row
-        self.rows.append(row)
         for column, index in self._hash_indexes.items():
             value = row[self.schema.position(column)]
             index.setdefault(value, []).append(row)
@@ -129,6 +134,7 @@ class Table:
             position = bisect_right(self._ordered_keys, value)
             self._ordered_keys.insert(position, value)
             self._ordered_index.insert(position, (value, row))
+        self.rows.append(row)
 
     def bulk_load(self, rows: Iterable[tuple]) -> None:
         """Insert many rows (index maintenance amortized)."""
@@ -177,6 +183,11 @@ class Table:
         Built lazily and cached per row-count epoch; the hash-index
         postings (when present) provide the same per-source neighbor
         order as a row scan, so both builds produce identical graphs.
+
+        The epoch is read *before* the build and :meth:`insert`
+        publishes ``rows`` last, so a graph cached under epoch *n* holds
+        at least the first *n* rows even when another thread inserts
+        mid-build: a cache hit can never be missing a published row.
         """
         key = (from_column, to_column)
         entry = self._csr.get(key)
@@ -187,12 +198,12 @@ class Table:
         to_position = self.schema.position(to_column)
         index = self._hash_indexes.get(from_column)
         if index is not None:
-            # list(): a driver partition on another thread may insert a
-            # new key while this one builds; iterating the live dict
-            # would raise "dictionary changed size during iteration".
+            # list(): iterating the live dict while another thread
+            # inserts a new key raises "dictionary changed size".
+            postings = list(index.items())
             graph = CSRGraph.from_adjacency(
                 {source: [row[to_position] for row in rows]
-                 for source, rows in list(index.items())})
+                 for source, rows in postings})
         else:
             graph = CSRGraph.from_edges(
                 (row[from_position], row[to_position])

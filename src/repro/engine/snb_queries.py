@@ -42,8 +42,8 @@ from ..queries.complex_reads import (
 )
 from ..queries import short_reads as gs
 from ..sim_time import MILLIS_PER_MINUTE
+from .cardinality import CardinalityEstimator
 from .catalog import Catalog
-from .chunks import VECTORIZED, execution_mode
 from .operators import TransitiveExpand
 from .optimizer import (
     ExpandSource,
@@ -97,6 +97,40 @@ def _columns(pipeline: PlannedPipeline):
             pipeline.root.schema.position)
 
 
+def _plan(catalog: Catalog, query_id: int | str, source: JoinSpec,
+          steps: list[JoinStep],
+          force: dict[int, str] | None) -> PlannedPipeline:
+    """Plan the pipeline ``source`` ⨝ ``steps``, cached under ``query_id``.
+
+    ``force`` maps step index → "inl"/"hash"; a forced pipeline must not
+    poison (or be served by) the plan cache, so it plans uncached.
+    """
+    if force:
+        for index, step in enumerate(steps):
+            step.force = force.get(index)
+    source.steps = steps
+    return Optimizer(catalog).plan(
+        source, query_id=None if force else query_id)
+
+
+def _friends_of(person_id: int) -> JoinSpec:
+    """Pipeline source: the knows rows of one person."""
+    return JoinSpec(source_table="knows", source_keys=[person_id],
+                    source_column="person1_id")
+
+
+def _circle_of(person_id: int, depth: int) -> JoinSpec:
+    """Pipeline source: the ``depth``-hop circle of one person."""
+    return JoinSpec(
+        source_expand=ExpandSource("knows", person_id, depth))
+
+
+def _messages_of(person_ids: list[int]) -> JoinSpec:
+    """Pipeline source: every message created by ``person_ids``."""
+    return JoinSpec(source_table="message", source_keys=person_ids,
+                    source_column="creator_id")
+
+
 # ---------------------------------------------------------------------------
 # the 14 complex reads — plan builders + finishing passes
 # ---------------------------------------------------------------------------
@@ -104,18 +138,12 @@ def _columns(pipeline: PlannedPipeline):
 def q1_plan(catalog: Catalog, params: g1.Q1Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q1: 3-hop circle expansion ⨝ person (pk), first-name residual."""
-    force = force or {}
-    spec = JoinSpec(
-        source_expand=ExpandSource("knows", params.person_id,
-                                   g1.MAX_DISTANCE),
-        steps=[
-            JoinStep("person", outer_key="node", inner_column=None,
-                     residual=Compare("first_name", "eq",
-                                      params.first_name),
-                     selectivity=0.01, force=force.get(0)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 1)
+    source = _circle_of(params.person_id, g1.MAX_DISTANCE)
+    return _plan(catalog, 1, source, [
+        JoinStep("person", outer_key="node", inner_column=None,
+                 residual=Compare("first_name", "eq", params.first_name),
+                 selectivity=0.01),
+    ], force)
 
 
 def q1(catalog: Catalog, params: g1.Q1Params) -> list[g1.Q1Result]:
@@ -165,21 +193,13 @@ def q1(catalog: Catalog, params: g1.Q1Params) -> list[g1.Q1Result]:
 def q2_pipeline(catalog: Catalog, params: g2.Q2Params,
                 force: dict[int, str] | None = None) -> PlannedPipeline:
     """The optimizer-planned pipeline for Q2 (knows ⨝ message)."""
-    force = force or {}
-    spec = JoinSpec(
-        source_table="knows",
-        source_keys=[params.person_id],
-        source_column="person1_id",
-        steps=[
-            JoinStep("message", outer_key="person2_id",
-                     inner_column="creator_id",
-                     residual=Compare("inner_creation_date", "le",
-                                      params.max_date),
-                     selectivity=0.5, force=force.get(0)),
-        ])
-    # Forced pipelines must not poison (or be served by) the plan cache.
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 2)
+    return _plan(catalog, 2, _friends_of(params.person_id), [
+        JoinStep("message", outer_key="person2_id",
+                 inner_column="creator_id",
+                 residual=Compare("inner_creation_date", "le",
+                                  params.max_date),
+                 selectivity=0.5),
+    ], force)
 
 
 def q2(catalog: Catalog, params: g2.Q2Params) -> list[g2.Q2Result]:
@@ -201,30 +221,22 @@ def q3_plan(catalog: Catalog, params: g3.Q3Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q3: 2-hop circle ⨝ person (country residual) ⨝ message
     (date-window + x/y-country residual)."""
-    force = force or {}
-    optimizer = Optimizer(catalog)
-    window = optimizer.estimator.date_selectivity(
+    window = CardinalityEstimator(catalog).date_selectivity(
         "message", "creation_date", params.start_date, params.end_date)
     countries = (params.country_x_id, params.country_y_id)
-    spec = JoinSpec(
-        source_expand=ExpandSource("knows", params.person_id, 2),
-        steps=[
-            JoinStep("person", outer_key="node", inner_column=None,
-                     residual=InSet("country_id", countries,
-                                    negate=True),
-                     selectivity=0.9, force=force.get(0)),
-            JoinStep("message", outer_key="node",
-                     inner_column="creator_id",
-                     residual=All(
-                         Compare("inner_creation_date", "ge",
-                                 params.start_date),
-                         Compare("inner_creation_date", "lt",
-                                 params.end_date),
-                         InSet("inner_country_id", countries)),
-                     selectivity=max(window, 0.01) * 0.2,
-                     force=force.get(1)),
-        ])
-    return optimizer.plan(spec, query_id=None if force else 3)
+    return _plan(catalog, 3, _circle_of(params.person_id, 2), [
+        JoinStep("person", outer_key="node", inner_column=None,
+                 residual=InSet("country_id", countries, negate=True),
+                 selectivity=0.9),
+        JoinStep("message", outer_key="node", inner_column="creator_id",
+                 residual=All(
+                     Compare("inner_creation_date", "ge",
+                             params.start_date),
+                     Compare("inner_creation_date", "lt",
+                             params.end_date),
+                     InSet("inner_country_id", countries)),
+                 selectivity=max(window, 0.01) * 0.2),
+    ], force)
 
 
 def q3(catalog: Catalog, params: g3.Q3Params) -> list[g3.Q3Result]:
@@ -255,24 +267,17 @@ def q3(catalog: Catalog, params: g3.Q3Params) -> list[g3.Q3Result]:
 def q4_plan(catalog: Catalog, params: g4.Q4Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q4: friends ⨝ posts (date residual) ⨝ message_tag."""
-    force = force or {}
-    spec = JoinSpec(
-        source_table="knows",
-        source_keys=[params.person_id],
-        source_column="person1_id",
-        steps=[
-            JoinStep("message", outer_key="person2_id",
-                     inner_column="creator_id",
-                     residual=All(
-                         Compare("is_post", "eq", True),
-                         Compare("inner_creation_date", "lt",
-                                 params.end_date)),
-                     selectivity=0.4, force=force.get(0)),
-            JoinStep("message_tag", outer_key="id",
-                     inner_column="message_id", force=force.get(1)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 4)
+    return _plan(catalog, 4, _friends_of(params.person_id), [
+        JoinStep("message", outer_key="person2_id",
+                 inner_column="creator_id",
+                 residual=All(
+                     Compare("is_post", "eq", True),
+                     Compare("inner_creation_date", "lt",
+                             params.end_date)),
+                 selectivity=0.4),
+        JoinStep("message_tag", outer_key="id",
+                 inner_column="message_id"),
+    ], force)
 
 
 def q4(catalog: Catalog, params: g4.Q4Params) -> list[g4.Q4Result]:
@@ -301,40 +306,25 @@ def q5_pipeline(catalog: Catalog, params: g5.Q5Params,
     friends-of-friends leg of the intended plan (Fig. 6a), feeding the
     forum/post aggregation that :func:`q5` performs.
     """
-    force = force or {}
-    spec = JoinSpec(
-        source_table="knows",
-        source_keys=[params.person_id],
-        source_column="person1_id",
-        steps=[
-            JoinStep("knows", outer_key="person2_id",
-                     inner_column="person1_id", repeat_expansion=True,
-                     force=force.get(0)),
-            JoinStep("membership", outer_key="inner_person2_id",
-                     inner_column="person_id",
-                     residual=Compare("joined_date", "gt",
-                                      params.min_date),
-                     selectivity=0.3, force=force.get(1)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else "5.leg")
+    return _plan(catalog, "5.leg", _friends_of(params.person_id), [
+        JoinStep("knows", outer_key="person2_id",
+                 inner_column="person1_id", repeat_expansion=True),
+        JoinStep("membership", outer_key="inner_person2_id",
+                 inner_column="person_id",
+                 residual=Compare("joined_date", "gt", params.min_date),
+                 selectivity=0.3),
+    ], force)
 
 
 def q5_plan(catalog: Catalog, params: g5.Q5Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q5 production plan: 2-hop circle ⨝ membership (date residual)."""
-    force = force or {}
-    spec = JoinSpec(
-        source_expand=ExpandSource("knows", params.person_id, 2),
-        steps=[
-            JoinStep("membership", outer_key="node",
-                     inner_column="person_id",
-                     residual=Compare("joined_date", "gt",
-                                      params.min_date),
-                     selectivity=0.3, force=force.get(0)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 5)
+    return _plan(catalog, 5, _circle_of(params.person_id, 2), [
+        JoinStep("membership", outer_key="node",
+                 inner_column="person_id",
+                 residual=Compare("joined_date", "gt", params.min_date),
+                 selectivity=0.3),
+    ], force)
 
 
 def q5(catalog: Catalog, params: g5.Q5Params) -> list[g5.Q5Result]:
@@ -355,19 +345,13 @@ def q5(catalog: Catalog, params: g5.Q5Params) -> list[g5.Q5Result]:
 def q6_plan(catalog: Catalog, params: g6.Q6Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q6: 2-hop circle ⨝ posts ⨝ message_tag."""
-    force = force or {}
-    spec = JoinSpec(
-        source_expand=ExpandSource("knows", params.person_id, 2),
-        steps=[
-            JoinStep("message", outer_key="node",
-                     inner_column="creator_id",
-                     residual=Compare("is_post", "eq", True),
-                     selectivity=0.5, force=force.get(0)),
-            JoinStep("message_tag", outer_key="id",
-                     inner_column="message_id", force=force.get(1)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 6)
+    return _plan(catalog, 6, _circle_of(params.person_id, 2), [
+        JoinStep("message", outer_key="node", inner_column="creator_id",
+                 residual=Compare("is_post", "eq", True),
+                 selectivity=0.5),
+        JoinStep("message_tag", outer_key="id",
+                 inner_column="message_id"),
+    ], force)
 
 
 def q6(catalog: Catalog, params: g6.Q6Params) -> list[g6.Q6Result]:
@@ -396,17 +380,9 @@ def q6(catalog: Catalog, params: g6.Q6Params) -> list[g6.Q6Result]:
 def q7_plan(catalog: Catalog, params: g7.Q7Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q7: my messages ⨝ likes."""
-    force = force or {}
-    spec = JoinSpec(
-        source_table="message",
-        source_keys=[params.person_id],
-        source_column="creator_id",
-        steps=[
-            JoinStep("likes", outer_key="id",
-                     inner_column="message_id", force=force.get(0)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 7)
+    return _plan(catalog, 7, _messages_of([params.person_id]), [
+        JoinStep("likes", outer_key="id", inner_column="message_id"),
+    ], force)
 
 
 def q7(catalog: Catalog, params: g7.Q7Params) -> list[g7.Q7Result]:
@@ -442,17 +418,9 @@ def q7(catalog: Catalog, params: g7.Q7Params) -> list[g7.Q7Result]:
 def q8_plan(catalog: Catalog, params: g8.Q8Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q8: my messages ⨝ replies (reply_of index)."""
-    force = force or {}
-    spec = JoinSpec(
-        source_table="message",
-        source_keys=[params.person_id],
-        source_column="creator_id",
-        steps=[
-            JoinStep("message", outer_key="id",
-                     inner_column="reply_of_id", force=force.get(0)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 8)
+    return _plan(catalog, 8, _messages_of([params.person_id]), [
+        JoinStep("message", outer_key="id", inner_column="reply_of_id"),
+    ], force)
 
 
 def q8(catalog: Catalog, params: g8.Q8Params) -> list[g8.Q8Result]:
@@ -486,43 +454,28 @@ def q9_pipeline(catalog: Catalog, params: g9.Q9Params,
     the penalty of a wrong choice.  The production :func:`q9` expands
     the full 1∪2-hop circle via :func:`q9_plan`.
     """
-    force = force or {}
-    spec = JoinSpec(
-        source_table="knows",
-        source_keys=[params.person_id],
-        source_column="person1_id",
-        steps=[
-            JoinStep("knows", outer_key="person2_id",
-                     inner_column="person1_id", repeat_expansion=True,
-                     force=force.get(0)),
-            JoinStep("message", outer_key="inner_person2_id",
-                     inner_column="creator_id",
-                     residual=Compare("inner_inner_creation_date", "lt",
-                                      params.max_date),
-                     selectivity=0.5, force=force.get(1)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else "9.leg")
+    return _plan(catalog, "9.leg", _friends_of(params.person_id), [
+        JoinStep("knows", outer_key="person2_id",
+                 inner_column="person1_id", repeat_expansion=True),
+        JoinStep("message", outer_key="inner_person2_id",
+                 inner_column="creator_id",
+                 residual=Compare("inner_inner_creation_date", "lt",
+                                  params.max_date),
+                 selectivity=0.5),
+    ], force)
 
 
 def q9_plan(catalog: Catalog, params: g9.Q9Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q9 production plan: 2-hop circle ⨝ message (date residual)."""
-    force = force or {}
-    optimizer = Optimizer(catalog)
-    window = optimizer.estimator.date_selectivity(
+    window = CardinalityEstimator(catalog).date_selectivity(
         "message", "creation_date", None, params.max_date)
-    spec = JoinSpec(
-        source_expand=ExpandSource("knows", params.person_id, 2),
-        steps=[
-            JoinStep("message", outer_key="node",
-                     inner_column="creator_id",
-                     residual=Compare("creation_date", "lt",
-                                      params.max_date),
-                     selectivity=max(window, 0.01),
-                     force=force.get(0)),
-        ])
-    return optimizer.plan(spec, query_id=None if force else 9)
+    return _plan(catalog, 9, _circle_of(params.person_id, 2), [
+        JoinStep("message", outer_key="node", inner_column="creator_id",
+                 residual=Compare("creation_date", "lt",
+                                  params.max_date),
+                 selectivity=max(window, 0.01)),
+    ], force)
 
 
 def q9(catalog: Catalog, params: g9.Q9Params) -> list[g9.Q9Result]:
@@ -599,25 +552,17 @@ def _q9_rows(catalog: Catalog, rows: list[tuple]) -> list[g9.Q9Result]:
 def q10_plan(catalog: Catalog, params: g10.Q10Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q10: friends ⨝ knows (fof) ⨝ person (horoscope residual)."""
-    force = force or {}
     month = params.month
-    spec = JoinSpec(
-        source_table="knows",
-        source_keys=[params.person_id],
-        source_column="person1_id",
-        steps=[
-            JoinStep("knows", outer_key="person2_id",
-                     inner_column="person1_id", repeat_expansion=True,
-                     force=force.get(0)),
-            JoinStep("person", outer_key="inner_person2_id",
-                     inner_column=None,
-                     residual=Where(
-                         "birthday",
-                         lambda b: g10._in_horoscope_window(b, month)),
-                     selectivity=1 / 12, force=force.get(1)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 10)
+    return _plan(catalog, 10, _friends_of(params.person_id), [
+        JoinStep("knows", outer_key="person2_id",
+                 inner_column="person1_id", repeat_expansion=True),
+        JoinStep("person", outer_key="inner_person2_id",
+                 inner_column=None,
+                 residual=Where(
+                     "birthday",
+                     lambda b: g10._in_horoscope_window(b, month)),
+                 selectivity=1 / 12),
+    ], force)
 
 
 def q10(catalog: Catalog, params: g10.Q10Params) -> list[g10.Q10Result]:
@@ -660,23 +605,17 @@ def q11_plan(catalog: Catalog, params: g11.Q11Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q11: 2-hop circle ⨝ work_at (year residual) ⨝ organisation
     (country residual)."""
-    force = force or {}
-    spec = JoinSpec(
-        source_expand=ExpandSource("knows", params.person_id, 2),
-        steps=[
-            JoinStep("work_at", outer_key="node",
-                     inner_column="person_id",
-                     residual=Compare("work_from", "lt",
-                                      params.max_work_from),
-                     selectivity=0.5, force=force.get(0)),
-            JoinStep("organisation", outer_key="organisation_id",
-                     inner_column=None,
-                     residual=Compare("location_id", "eq",
-                                      params.country_id),
-                     selectivity=0.1, force=force.get(1)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 11)
+    return _plan(catalog, 11, _circle_of(params.person_id, 2), [
+        JoinStep("work_at", outer_key="node", inner_column="person_id",
+                 residual=Compare("work_from", "lt",
+                                  params.max_work_from),
+                 selectivity=0.5),
+        JoinStep("organisation", outer_key="organisation_id",
+                 inner_column=None,
+                 residual=Compare("location_id", "eq",
+                                  params.country_id),
+                 selectivity=0.1),
+    ], force)
 
 
 def q11(catalog: Catalog, params: g11.Q11Params) -> list[g11.Q11Result]:
@@ -700,19 +639,12 @@ def q11(catalog: Catalog, params: g11.Q11Params) -> list[g11.Q11Result]:
 def q12_plan(catalog: Catalog, params: g12.Q12Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q12: friends ⨝ comments (is_post=False residual)."""
-    force = force or {}
-    spec = JoinSpec(
-        source_table="knows",
-        source_keys=[params.person_id],
-        source_column="person1_id",
-        steps=[
-            JoinStep("message", outer_key="person2_id",
-                     inner_column="creator_id",
-                     residual=Compare("is_post", "eq", False),
-                     selectivity=0.5, force=force.get(0)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 12)
+    return _plan(catalog, 12, _friends_of(params.person_id), [
+        JoinStep("message", outer_key="person2_id",
+                 inner_column="creator_id",
+                 residual=Compare("is_post", "eq", False),
+                 selectivity=0.5),
+    ], force)
 
 
 def q12(catalog: Catalog, params: g12.Q12Params) -> list[g12.Q12Result]:
@@ -763,11 +695,8 @@ UNBOUNDED = 1 << 30
 def q13_plan(catalog: Catalog, params: g13.Q13Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q13: pure transitive expansion from x (no join steps)."""
-    spec = JoinSpec(
-        source_expand=ExpandSource("knows", params.person_x_id,
-                                   UNBOUNDED))
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 13)
+    source = _circle_of(params.person_x_id, UNBOUNDED)
+    return _plan(catalog, 13, source, [], force)
 
 
 def q13(catalog: Catalog, params: g13.Q13Params) -> list[g13.Q13Result]:
@@ -775,66 +704,41 @@ def q13(catalog: Catalog, params: g13.Q13Params) -> list[g13.Q13Result]:
         return [g13.Q13Result(0)]
     pipeline = q13_plan(catalog, params)
     target = params.person_y_id
-    if execution_mode() == VECTORIZED:
-        # One chunk per BFS level: scan the node column (C-level
-        # membership test), abandon the expansion at the found level.
-        for chunk in pipeline.root.chunks():
-            if target in chunk.columns[0]:
-                return [g13.Q13Result(chunk.columns[1][0])]
-    else:
-        for node, distance in pipeline.root:
-            if node == target:
-                return [g13.Q13Result(distance)]
+    # One chunk per BFS level: scan the node column (C-level membership
+    # test), abandon the expansion at the found level.
+    for chunk in pipeline.root.chunks():
+        if target in chunk.columns[0]:
+            return [g13.Q13Result(chunk.columns[1][0])]
     return [g13.Q13Result(-1)]
 
 
 def _q14_search(catalog: Catalog, params: g14.Q14Params):
     """BFS distances from x plus all shortest x→y paths.
 
-    Vectorized mode runs the BFS frontier-at-a-time against the packed
-    CSR adjacency; tuple mode probes the knows index per node.  Both
-    produce identical distances and (as neighbor order is the index
-    posting order either way) identical path enumeration.
+    The BFS runs frontier-at-a-time against the packed CSR adjacency;
+    neighbor order is the knows index posting order, which fixes the
+    path enumeration order.
     """
     source, target = params.person_x_id, params.person_y_id
-    knows = catalog.table("knows")
-    if execution_mode() == VECTORIZED:
-        csr = knows.csr("person1_id", "person2_id")
-        neighbors = csr.neighbors
-        distances: dict[int, int] = {source: 0}
-        found = None
-        frontier = [source]
-        depth = 0
-        seen = {source}
-        while frontier and found is None:
-            depth += 1
-            fresh = set(csr.gather(frontier))
-            fresh.difference_update(seen)
-            if not fresh:
-                break
-            seen.update(fresh)
-            for node in fresh:
-                distances[node] = depth
-            if target in fresh:
-                found = depth
-            frontier = list(fresh)
-    else:
-        def neighbors(node: int) -> list[int]:
-            return [row[1] for row in knows.probe("person1_id", node)]
-
-        distances = {source: 0}
-        frontier = [source]
-        found = None
-        while frontier and found is None:
-            next_frontier = []
-            for node in frontier:
-                for neighbor in neighbors(node):
-                    if neighbor not in distances:
-                        distances[neighbor] = distances[node] + 1
-                        next_frontier.append(neighbor)
-                        if neighbor == target:
-                            found = distances[neighbor]
-            frontier = next_frontier
+    csr = catalog.table("knows").csr("person1_id", "person2_id")
+    neighbors = csr.neighbors
+    distances: dict[int, int] = {source: 0}
+    found = None
+    frontier = [source]
+    depth = 0
+    seen = {source}
+    while frontier and found is None:
+        depth += 1
+        fresh = set(csr.gather(frontier))
+        fresh.difference_update(seen)
+        if not fresh:
+            break
+        seen.update(fresh)
+        for node in fresh:
+            distances[node] = depth
+        if target in fresh:
+            found = depth
+        frontier = list(fresh)
     if found is None:
         return distances, None, []
     paths: list[list[int]] = []
@@ -857,23 +761,15 @@ def q14_plan(catalog: Catalog, params: g14.Q14Params,
              members: list[int] | None = None) -> PlannedPipeline:
     """Q14 weight leg: path members' comments ⨝ parent message (pk),
     keeping parents authored inside the member set."""
-    force = force or {}
     if members is None:
         _, found, paths = _q14_search(catalog, params)
         members = sorted({node for path in paths for node in path}) \
             if found is not None else []
-    spec = JoinSpec(
-        source_table="message",
-        source_keys=list(members),
-        source_column="creator_id",
-        steps=[
-            JoinStep("message", outer_key="reply_of_id",
-                     inner_column=None,
-                     residual=InSet("inner_creator_id", members),
-                     selectivity=0.05, force=force.get(0)),
-        ])
-    return Optimizer(catalog).plan(spec,
-                                   query_id=None if force else 14)
+    return _plan(catalog, 14, _messages_of(list(members)), [
+        JoinStep("message", outer_key="reply_of_id", inner_column=None,
+                 residual=InSet("inner_creator_id", members),
+                 selectivity=0.05),
+    ], force)
 
 
 def q14(catalog: Catalog, params: g14.Q14Params) -> list[g14.Q14Result]:

@@ -6,7 +6,7 @@ stack of open spans, so a span started while another is open becomes its
 child (``scheduler.partition.3`` → ``op.Complex2`` → ``engine.HashJoin``)
 without any explicit plumbing through the call chain.
 
-Spans survive suspension inside generators: the volcano engine opens an
+Spans survive suspension inside generators: the engine opens an
 operator span when iteration starts and closes it when the generator is
 exhausted *or* garbage-collected, which can pop spans out of LIFO order
 (a ``Limit`` abandons its child mid-stream).  :meth:`Tracer.end_span`

@@ -1,9 +1,10 @@
-"""Tests for the volcano operators."""
+"""Tests for the physical operators (chunk-exchanging)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine.chunks import CHUNK_SIZE
 from repro.engine.operators import (
     Distinct,
     Filter,
@@ -21,6 +22,7 @@ from repro.engine.operators import (
     Union,
     collect_cardinalities,
 )
+from repro.engine.predicates import Compare, InSet
 from repro.engine.rows import Schema, Table
 
 
@@ -205,3 +207,133 @@ class TestCardinalityCollection:
         cards = collect_cardinalities(filtered)
         assert cards["older"] == 2
         assert cards["scan(person)"] == 4
+
+
+def _numbers(n):
+    """``n`` rows of (id, bucket, value); values repeat every 101 rows
+    so later chunks revisit keys the first chunk already produced."""
+    table = Table("numbers", Schema(("id", "bucket", "value")),
+                  primary_key="id")
+    table.create_hash_index("bucket")
+    table.bulk_load([(i, i % 7, (i * 37) % 101) for i in range(n)])
+    return table
+
+
+def _check(op, expected):
+    assert op.execute() == expected
+    assert op.tuples_out == len(expected)
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, CHUNK_SIZE, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 1])
+class TestChunkBoundaries:
+    """Stateful operators over inputs that end before, on and after a
+    chunk boundary, against plain-Python expected values."""
+
+    def test_limit(self, n):
+        table = _numbers(n)
+        for k in (0, 1, CHUNK_SIZE, CHUNK_SIZE + 1, n, n + 1):
+            _check(Limit(Scan(table), k), table.rows[:k])
+
+    def test_distinct(self, n):
+        table = _numbers(n)
+        values = [(row[2],) for row in table.rows]
+        _check(Distinct(Project(Scan(table), ["value"])),
+               list(dict.fromkeys(values)))
+
+    def test_sort(self, n):
+        table = _numbers(n)
+
+        def key(row):
+            return (row[2], -row[0])
+
+        op = Sort(Scan(table), key=key)
+        assert all(len(chunk) <= CHUNK_SIZE for chunk in op.chunks())
+        op.reset_counters()
+        _check(op, sorted(table.rows, key=key))
+        _check(Sort(Scan(table), key=key, descending=True),
+               sorted(table.rows, key=key, reverse=True))
+
+    def test_topk(self, n):
+        table = _numbers(n)
+
+        def key(row):
+            return (row[2], row[0])
+
+        for k in (3, CHUNK_SIZE + 1):
+            _check(TopK(Scan(table), key=key, k=k),
+                   sorted(table.rows, key=key)[:k])
+            _check(TopK(Scan(table), key=key, k=k, descending=True),
+                   sorted(table.rows, key=key, reverse=True)[:k])
+
+    @pytest.mark.parametrize("build_key,probe_key", [
+        ("id", "value"),      # unique build keys, n probe rows
+        ("bucket", "value"),  # ~n/7 build rows per key, 7 of 101 hit
+    ])
+    def test_hash_join_build_and_probe(self, n, build_key, probe_key):
+        table = _numbers(n)
+        build_position = table.schema.position(build_key)
+        probe_position = table.schema.position(probe_key)
+        built: dict = {}
+        for row in table.rows:
+            built.setdefault(row[build_position], []).append(row)
+        expected = [probe_row + build_row for probe_row in table.rows
+                    for build_row in built.get(probe_row[probe_position],
+                                               ())]
+        _check(HashJoin(Scan(table), Scan(table), build_key, probe_key),
+               expected)
+
+    def test_group_count_only(self, n):
+        table = _numbers(n)
+        expected: dict = {}
+        for row in table.rows:
+            expected[row[2]] = expected.get(row[2], 0) + 1
+        op = GroupAggregate(Scan(table), ["value"],
+                            {"n": ("count", None), "m": ("count", "id")})
+        _check(op, [(value, count, count)
+                    for value, count in expected.items()])
+
+    def test_group_mixed_aggregates(self, n):
+        table = _numbers(n)
+        by_bucket: dict = {}
+        for row in table.rows:
+            by_bucket.setdefault(row[1], []).append(row[2])
+        op = GroupAggregate(Scan(table), ["bucket"],
+                            {"n": ("count", None),
+                             "total": ("sum", "value"),
+                             "low": ("min", "value"),
+                             "high": ("max", "value")})
+        _check(op, [(bucket, len(values), sum(values), min(values),
+                     max(values))
+                    for bucket, values in by_bucket.items()])
+
+    def test_inl_join_pk_with_residual(self, n):
+        table = _numbers(n)
+        join = IndexNestedLoopJoin(
+            Scan(table), table, "value",
+            residual=InSet("inner_bucket", {1, 3}))
+        _check(join, [row + table.rows[row[2]] for row in table.rows
+                      if row[2] < n and table.rows[row[2]][1] in (1, 3)])
+
+    def test_inl_join_hash_column_with_residual(self, n):
+        weights = Table("weights", Schema(("bucket", "weight")))
+        weights.create_hash_index("bucket")
+        weights.bulk_load([(b, w) for b in range(7) for w in (b, -b)])
+        table = _numbers(n)
+        join = IndexNestedLoopJoin(
+            Scan(table), weights, "bucket", inner_column="bucket",
+            residual=Compare("weight", "ge", 0))
+        # Two candidates per outer row; bucket 0 keeps both (0, -0).
+        expected = [row + (row[1], w) for row in table.rows
+                    for w in (row[1], -row[1]) if w >= 0]
+        _check(join, expected)
+
+    def test_key_lookup(self, n):
+        table = _numbers(n)
+        by_pk = KeyLookup(table, range(-1, n + 1))
+        assert all(len(chunk) <= CHUNK_SIZE for chunk in by_pk.chunks())
+        by_pk.reset_counters()
+        _check(by_pk, table.rows)
+        _check(KeyLookup(table, [6, 0, 9], column="bucket"),
+               [row for bucket in (6, 0) for row in table.rows
+                if row[1] == bucket])

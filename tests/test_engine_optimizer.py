@@ -207,6 +207,26 @@ class TestExplain:
         pipeline = snb_queries.q9_pipeline(loaded_catalog, params)
         pipeline.execute()
         text = explain_pipeline(pipeline, show_actuals=True)
-        assert "[out=" in text
+        assert "out=" in text
         assert "join decisions:" in text
         assert "cost(inl)=" in text
+
+    def test_explain_residual_on_inl_join(self, loaded_catalog,
+                                          curated_params):
+        """An INL join applies its residual itself: no Filter node is
+        stacked on it, and EXPLAIN renders the predicate on the join."""
+        params = curated_params.by_query[9][0]
+        pipeline = snb_queries.q9_pipeline(loaded_catalog, params,
+                                           force={1: "inl"})
+        pipeline.execute()
+        text = explain(pipeline.root, show_actuals=True)
+        root_line = text.splitlines()[0]
+        assert root_line.startswith(
+            "inl(message on creator_id) where "
+            f"inner_inner_creation_date lt {params.max_date}")
+        assert "filter" not in text
+        assert all("est=" in line and "out=" in line
+                   for line in text.splitlines())
+        hashed = snb_queries.q9_pipeline(loaded_catalog, params,
+                                         force={1: "hash"})
+        assert explain(hashed.root).startswith("filter#1")

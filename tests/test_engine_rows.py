@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,3 +128,76 @@ class TestTable:
             table.insert((i, key))
         keys = [row[1] for row in table.range_scan()]
         assert keys == sorted(keys)
+
+
+def _edge_table():
+    table = Table("edges", Schema(("src", "dst")))
+    table.create_hash_index("src")
+    return table
+
+
+def _adjacency(graph, sources):
+    return {source: list(graph.neighbors(source)) for source in sources}
+
+
+def _fresh_build(table):
+    expected: dict = {}
+    for source, target in table.rows:
+        expected.setdefault(source, []).append(target)
+    return expected
+
+
+class TestCsrUnderConcurrentInsert:
+    def test_reader_inside_insert_cannot_cache_a_stale_graph(self):
+        """A reader on another thread that runs in the middle of
+        ``insert`` must not leave behind a graph that lacks the new row
+        under the epoch that counts it (deterministic interleaving: the
+        index dict calls ``csr()`` from inside the insert)."""
+        table = _edge_table()
+        table.insert((1, 2))
+
+        class ReaderInsideInsert(dict):
+            def setdefault(self, key, default=None):
+                table.csr("src", "dst")
+                return super().setdefault(key, default)
+
+        table._hash_indexes["src"] = ReaderInsideInsert(
+            table._hash_indexes["src"])
+        table.insert((1, 3))
+        assert list(table.csr("src", "dst").neighbors(1)) == [2, 3]
+
+    def test_soak_final_graph_equals_fresh_build(self):
+        table = _edge_table()
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def read():
+            try:
+                while not stop.is_set():
+                    published = len(table.rows)
+                    graph = table.csr("src", "dst")
+                    # Every row published before the call is in the
+                    # graph it returns, cached or just rebuilt.
+                    assert len(graph) >= published
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        reader = threading.Thread(target=read)
+        try:
+            reader.start()
+            deadline = time.monotonic() + 0.5
+            i = 0
+            while time.monotonic() < deadline:
+                table.insert((i % 13, i))
+                i += 1
+        finally:
+            stop.set()
+            reader.join(timeout=5)
+            sys.setswitchinterval(previous)
+        assert not reader.is_alive()
+        assert not errors, errors
+        assert i > 0
+        expected = _fresh_build(table)
+        assert _adjacency(table.csr("src", "dst"), expected) == expected

@@ -27,11 +27,10 @@ class TestTimeIndexVariant:
 
     def test_empty_circle(self, loaded_catalog, network):
         """A person with no friends yields no rows."""
-        from repro.algorithms import knows_graph
-
-        adjacency = knows_graph(network)
-        loners = [pid for pid, friends in adjacency.items()
-                  if not friends]
+        befriended = {pid for edge in network.knows
+                      for pid in (edge.person1_id, edge.person2_id)}
+        loners = [person.id for person in network.persons
+                  if person.id not in befriended]
         if not loners:
             pytest.skip("no isolated persons in this network")
         params = q9.Q9Params(loners[0], 2 ** 62)

@@ -1,10 +1,9 @@
-"""Vectorized (batch-at-a-time) execution: chunks, predicates, modes.
+"""Chunked execution building blocks: chunks, predicates, table CSR.
 
-The engine runs every plan in two modes over the same operator tree —
-``tuple`` (volcano, row at a time) and ``vectorized`` (fixed-size chunks
-of parallel column arrays).  These tests pin the chunk/predicate
-building blocks and assert the two modes are observationally identical
-on every complex read.
+Operators exchange fixed-size chunks of parallel column arrays.  These
+tests pin the chunk/predicate building blocks; query results are
+compared against the store SUT in ``test_cross_sut.py`` and operator
+behaviour across chunk boundaries in ``test_engine_operators.py``.
 """
 
 from __future__ import annotations
@@ -12,17 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import snb_queries
-from repro.engine.chunks import (
-    CHUNK_SIZE,
-    TUPLE,
-    VECTORIZED,
-    Chunk,
-    engine_mode,
-    execution_mode,
-    set_execution_mode,
-)
+from repro.engine.chunks import CHUNK_SIZE, Chunk
 from repro.engine.predicates import All, Compare, InSet, Where
-from repro.errors import EngineError
 
 
 class TestChunk:
@@ -42,25 +32,6 @@ class TestChunk:
         chunk = Chunk.from_rows([(1, "a"), (2, "b"), (3, "c")], width=2)
         picked = chunk.gather([2, 0])
         assert list(picked.rows()) == [(3, "c"), (1, "a")]
-
-
-class TestExecutionMode:
-    def test_default_follows_environment(self):
-        import os
-
-        expected = os.environ.get("REPRO_ENGINE_MODE", VECTORIZED)
-        assert execution_mode() == expected
-
-    def test_context_manager_restores(self):
-        before = execution_mode()
-        other = TUPLE if before == VECTORIZED else VECTORIZED
-        with engine_mode(other):
-            assert execution_mode() == other
-        assert execution_mode() == before
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(EngineError):
-            set_execution_mode("columnar-ish")
 
 
 class TestPredicates:
@@ -83,13 +54,9 @@ class TestPredicates:
         (Where("num", lambda v: v % 2 == 1), [0, 1, 2, 3]),
         (All(Compare("num", "ge", 5), InSet("tag", {"y", "z"})), [1, 3]),
     ])
-    def test_keep_indices_matches_row_fn(self, predicate, expected):
+    def test_keep_indices(self, predicate, expected):
         resolved = self._resolved(predicate)
         assert resolved.keep_indices(self.COLUMNS) == expected
-        row_fn = resolved.row_fn()
-        rows = list(zip(*self.COLUMNS))
-        assert [i for i, row in enumerate(rows) if row_fn(row)] \
-            == expected
 
 
 class TestTableCSR:
@@ -115,38 +82,19 @@ class TestTableCSR:
         assert list(rebuilt.neighbors(1)) == [2, 3]
 
 
-@pytest.mark.parametrize("query_id", list(range(1, 15)))
-def test_modes_agree_on_complex_reads(query_id, loaded_catalog,
-                                      curated_params):
-    """Tuple and vectorized execution return identical results."""
-    run = snb_queries.ENGINE_COMPLEX[query_id]
-    for params in curated_params.by_query[query_id]:
-        with engine_mode(VECTORIZED):
-            vectorized = run(loaded_catalog, params)
-        with engine_mode(TUPLE):
-            volcano = run(loaded_catalog, params)
-        assert vectorized == volcano
-
-
 def test_execute_columns_matches_execute(loaded_catalog, curated_params):
     params = curated_params.by_query[9][0]
-    for mode in (VECTORIZED, TUPLE):
-        with engine_mode(mode):
-            pipeline = snb_queries.q9_plan(loaded_catalog, params)
-            columns = pipeline.execute_columns()
-            pipeline = snb_queries.q9_plan(loaded_catalog, params)
-            rows = pipeline.execute()
-        width = len(pipeline.root.schema)
-        assert len(columns) == width
-        transposed = [tuple(column[i] for column in columns)
-                      for i in range(len(columns[0]))] if rows else []
-        assert transposed == [tuple(row) for row in rows]
+    pipeline = snb_queries.q9_plan(loaded_catalog, params)
+    columns = pipeline.execute_columns()
+    rows = snb_queries.q9_plan(loaded_catalog, params).execute()
+    assert rows, "curated Q9 binding produced no rows"
+    assert len(columns) == len(pipeline.root.schema)
+    assert list(zip(*columns)) == rows
 
 
 def test_chunks_are_bounded(loaded_catalog, curated_params):
     params = curated_params.by_query[9][0]
-    with engine_mode(VECTORIZED):
-        pipeline = snb_queries.q9_plan(loaded_catalog, params)
-        sizes = [len(chunk) for chunk in pipeline.root.chunks()]
+    pipeline = snb_queries.q9_plan(loaded_catalog, params)
+    sizes = [len(chunk) for chunk in pipeline.root.chunks()]
     assert sizes, "pipeline produced no chunks"
     assert all(size <= CHUNK_SIZE for size in sizes)
