@@ -81,10 +81,40 @@ def canonical_json(value) -> str:
                       separators=(",", ":"), ensure_ascii=True)
 
 
+#: Sequence items encoded per piece by :func:`_json_pieces`.
+_PIECE_ITEMS = 2048
+
+
+def _json_pieces(value):
+    """The text of :func:`canonical_json`, a bounded piece at a time.
+
+    A mapping is emitted key by key and a sequence in blocks of items,
+    so hashing a full-database snapshot holds one block's canonical copy
+    and JSON text, not the whole snapshot's.
+    """
+    if isinstance(value, dict):
+        items = {str(key): item for key, item in value.items()}
+        yield "{"
+        for position, key in enumerate(sorted(items)):
+            yield ("," if position else "") + json.dumps(key) + ":"
+            yield from _json_pieces(items[key])
+        yield "}"
+    elif isinstance(value, (list, tuple)):
+        yield "["
+        for start in range(0, len(value), _PIECE_ITEMS):
+            block = canonical_json(value[start:start + _PIECE_ITEMS])
+            yield ("," if start else "") + block[1:-1]
+        yield "]"
+    else:
+        yield canonical_json(value)
+
+
 def digest(value) -> str:
     """Content digest of a value's canonical JSON form."""
-    encoded = canonical_json(value).encode("utf-8")
-    return "sha256:" + hashlib.sha256(encoded).hexdigest()
+    hasher = hashlib.sha256()
+    for piece in _json_pieces(value):
+        hasher.update(piece.encode("utf-8"))
+    return "sha256:" + hasher.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ state snapshots."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.validation import (
@@ -48,6 +49,19 @@ class TestCanonicalize:
         assert digest([1, 2]) == digest([1, 2])
         assert digest([1, 2]) != digest([2, 1])
         assert digest([1, 2]).startswith("sha256:")
+
+    def test_digest_hashes_exactly_the_canonical_json(self):
+        # digest() encodes in pieces (a key, a block of rows at a time);
+        # committed golden digests depend on the bytes staying those of
+        # canonical_json, across block boundaries and nesting.
+        rows = [[i, f"né{i}", (i, None)] for i in range(5000)]
+        for value in (None, 3, "x", [], {}, [[]], _Row(1, "x", (2,)),
+                      rows, tuple(rows[:2048]), rows[:2049],
+                      {"b": rows, "a": [], 1: {"z": (1, 2), "y": rows[:3]}},
+                      [_Row(i, "r", ()) for i in range(3)]):
+            expected = "sha256:" + hashlib.sha256(
+                canonical_json(value).encode("utf-8")).hexdigest()
+            assert digest(value) == expected
 
 
 class TestDiffResults:
