@@ -116,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("parallel", "sequential", "windowed"),
                        default="sequential")
     bench.add_argument(
-        "--cache", metavar="SPEC", default="none",
-        help="hot-path caches to enable: 'all', 'none' (default), or a "
-             "comma list of plan,adjacency,memo")
-    bench.add_argument(
         "--remote", metavar="HOST:PORT", default=None,
         help="drive a 'repro serve' instance over the wire instead of "
              "loading a SUT in-process (start the server with the same "
@@ -500,20 +496,11 @@ def _cmd_canary_faults(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    from .cache import CacheConfig
     from .core import BenchmarkConfig, InteractiveBenchmark, \
         render_report
     from .driver.clock import AS_FAST_AS_POSSIBLE
     from .driver.modes import ExecutionMode
 
-    try:
-        cache = CacheConfig.from_spec(args.cache)
-    except ValueError as exc:
-        raise SystemExit(f"--cache: {exc}")
-    if args.remote and args.cache != "none":
-        raise SystemExit(
-            "--remote: client-side SUT caches do not apply; the server "
-            "owns the state (drop --cache)")
     if args.shards:
         if args.remote:
             raise SystemExit(
@@ -523,10 +510,6 @@ def _cmd_benchmark(args) -> int:
         if args.sut != "store":
             raise SystemExit(
                 "--shards partitions the graph store; use --sut store")
-        if args.cache != "none":
-            raise SystemExit(
-                "--shards: in-process SUT caches do not apply; worker "
-                "processes own the state (drop --cache)")
     config = BenchmarkConfig(
         num_persons=args.persons,
         seed=args.seed,
@@ -535,7 +518,6 @@ def _cmd_benchmark(args) -> int:
         mode=ExecutionMode(args.mode),
         acceleration=(args.acceleration if args.acceleration is not None
                       else AS_FAST_AS_POSSIBLE),
-        cache=cache,
         remote=args.remote,
         shards=args.shards,
     )

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import telemetry
-from ..cache import AdjacencyCache, CacheConfig, PlanCache, ShortReadMemo
 from ..curation.curator import CuratedWorkloadParams, ParameterCurator
 from ..datagen.config import DatagenConfig
 from ..datagen.pipeline import generate
@@ -55,8 +53,6 @@ class BenchmarkConfig:
     #: Use uniform random parameters instead of curated ones (the
     #: Fig. 5 baseline).
     uniform_parameters: bool = False
-    #: Hot-path caching layer; off by default (the seed behaviour).
-    cache: CacheConfig = field(default_factory=CacheConfig.none)
     #: ``host:port`` of a ``repro serve`` instance; when set, the
     #: driver executes over the wire instead of loading a local SUT
     #: (the server must be loaded with the same persons/seed for
@@ -86,8 +82,6 @@ class BenchmarkReport:
     steady_state: bool
     #: Whether the run kept up with the target acceleration.
     sustained: bool
-    #: One :meth:`repro.cache.CacheStats.as_row` dict per active cache.
-    cache_stats: list[dict] = field(default_factory=list)
 
     def mean_latency_row(self, stats: dict[str, ClassStats],
                          prefix: str, count: int) -> list[float]:
@@ -128,10 +122,8 @@ class InteractiveBenchmark:
         mix = QueryMix(config.frequencies)
         self.stream = build_mixed_stream(self.split.updates, self.params,
                                          mix, walk_seed=config.seed)
-        memo = ShortReadMemo(config.cache.memo_max_entries) \
-            if config.cache.memo else None
         self.connector = InteractiveConnector(self.sut, config.walk,
-                                              seed=config.seed, memo=memo)
+                                              seed=config.seed)
 
     def _load_sut(self, bulk: SocialNetwork) -> SystemUnderTest:
         if self.config.remote is not None:
@@ -141,7 +133,6 @@ class InteractiveBenchmark:
             from ..net.client import RemoteConnector
 
             return RemoteConnector.parse(self.config.remote)
-        cache = self.config.cache
         if self.config.shards > 0:
             if self.config.sut != "store":
                 raise BenchmarkError(
@@ -151,38 +142,10 @@ class InteractiveBenchmark:
 
             return ShardedStoreSUT.for_network(bulk, self.config.shards)
         if self.config.sut == "store":
-            store = load_network(bulk)
-            if cache.adjacency:
-                store.adjacency_cache = AdjacencyCache(
-                    cache.adjacency_max_entries)
-                # The packed-adjacency BFS fast path rides the same
-                # cache switch (it is the adjacency cache's whole-label
-                # counterpart, invalidated by edge-append counters).
-                from ..store.csr import CSRCache
-
-                store.csr_cache = CSRCache()
-            return StoreSUT(store)
+            return StoreSUT(load_network(bulk))
         if self.config.sut == "engine":
-            catalog = load_catalog(bulk)
-            if cache.plan:
-                catalog.plan_cache = PlanCache(cache.plan_max_entries)
-            return EngineSUT(catalog)
+            return EngineSUT(load_catalog(bulk))
         raise BenchmarkError(f"unknown SUT {self.config.sut!r}")
-
-    def cache_stats(self) -> list:
-        """CacheStats of every cache active in this run."""
-        stats = []
-        sut = self.sut
-        if isinstance(sut, StoreSUT) \
-                and sut.store.adjacency_cache is not None:
-            stats.append(sut.store.adjacency_cache.stats)
-        if isinstance(sut, EngineSUT) \
-                and sut.catalog.plan_cache is not None:
-            stats.append(sut.catalog.plan_cache.stats)
-        if self.connector is not None \
-                and self.connector.memo is not None:
-            stats.append(self.connector.memo.stats)
-        return stats
 
     def final_state_digest(self) -> str:
         """Canonical digest of the SUT's state after the run.
@@ -240,11 +203,6 @@ class InteractiveBenchmark:
         for name in complex_stats:
             p99_series.extend(
                 driver.recorder.p99_series(name, window_seconds=2.0))
-        cache_rows = []
-        for stats in self.cache_stats():
-            if telemetry.active:
-                stats.publish(telemetry.get_registry())
-            cache_rows.append(stats.as_row())
         return BenchmarkReport(
             sut_name=self.sut.name,
             acceleration_target=config.acceleration,
@@ -258,5 +216,4 @@ class InteractiveBenchmark:
             late_fraction=report.metrics.late_fraction,
             steady_state=steady_state_ok(p99_series),
             sustained=report.metrics.late_fraction < 0.05,
-            cache_stats=cache_rows,
         )

@@ -20,9 +20,7 @@ operation itself).
 
 Every operation — whatever legacy shape the driver hands over — is
 coerced into the typed :mod:`repro.core.operation` union and dispatched
-through the SUT's single ``execute`` entry point.  When a
-:class:`~repro.cache.memo.ShortReadMemo` is attached, walk short reads
-consult it first and updates invalidate the entities they touch.
+through the SUT's single ``execute`` entry point.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from ..workload.random_walk import (
     extract_entities,
     run_walk,
 )
-from .operation import ComplexRead, ShortRead, Update, as_operation
+from .operation import ComplexRead, ShortRead, as_operation
 from .sut import SystemUnderTest
 
 
@@ -73,15 +71,12 @@ class InteractiveConnector:
 
     def __init__(self, sut: SystemUnderTest,
                  walk: RandomWalkConfig | None = None,
-                 seed: int = 0,
-                 memo=None) -> None:
+                 seed: int = 0) -> None:
         self.sut = sut
         # Wrapping a RemoteConnector-as-SUT makes this connector remote.
         self.is_remote = bool(getattr(sut, "is_remote", False))
         self.walk = walk or RandomWalkConfig()
         self.seed = seed
-        #: Optional ShortReadMemo consulted by the walk's short reads.
-        self.memo = memo
         #: Short-read latencies, recorded per S-class.
         self.short_recorder = LatencyRecorder()
         self.short_reads_executed = 0
@@ -97,10 +92,6 @@ class InteractiveConnector:
 
     def _dispatch(self, op) -> None:
         result = self.sut.execute(op)
-        if isinstance(op, Update):
-            if self.memo is not None:
-                self.memo.note_update(op.operation)
-            return
         if isinstance(op, ComplexRead):
             self._run_short_walk(op, result.value)
 
@@ -117,16 +108,7 @@ class InteractiveConnector:
     def _execute_short(self, query_id: int, entity):
         ref = EntityRef.of(entity)
         started = time.perf_counter()
-        if self.memo is not None:
-            value, token = self.memo.begin(query_id, ref)
-            if token is None:
-                self.short_recorder.record(
-                    f"S{query_id}", time.perf_counter() - started)
-                return value
-            value = self.sut.execute(ShortRead(query_id, ref)).value
-            self.memo.put(query_id, ref, value, token)
-        else:
-            value = self.sut.execute(ShortRead(query_id, ref)).value
+        value = self.sut.execute(ShortRead(query_id, ref)).value
         self.short_recorder.record(f"S{query_id}",
                                    time.perf_counter() - started)
         return value

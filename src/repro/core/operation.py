@@ -67,13 +67,10 @@ class OperationResult:
     """What ``execute`` returns: the operation and its value.
 
     ``value`` holds the result rows for reads and ``None`` for updates.
-    ``cached`` marks results served from the short-read memo without
-    touching the SUT.
     """
 
     op_class: str
     value: object = None
-    cached: bool = False
 
 
 def as_operation(raw) -> Operation:

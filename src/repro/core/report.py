@@ -52,14 +52,4 @@ def render_report(report: BenchmarkReport) -> str:
     lines += _latency_table(
         "mean runtime of transactional updates (ms)      [Table 9]",
         report.update_stats, update_names)
-    if report.cache_stats:
-        lines.append("")
-        lines.append("hot-path caches")
-        for row in report.cache_stats:
-            lines.append(
-                f"  {row['cache']:<10} hits {row['hits']:>7}  "
-                f"misses {row['misses']:>7}  "
-                f"ext {row['extensions']:>6}  "
-                f"inval {row['invalidations']:>6}  "
-                f"hit rate {row['hit_rate']:.1%}")
     return "\n".join(lines)

@@ -56,26 +56,7 @@ class Catalog:
     def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
         self.write_lock = threading.Lock()
-        #: Statistics epoch: bumped only by :meth:`refresh_stats`, never
-        #: by inserts — the optimizer's table-count estimates drift until
-        #: an explicit refresh, exactly like a real system's ANALYZE.
-        self._version = 1
-        #: Optional :class:`repro.cache.PlanCache` consulted by the
-        #: optimizer, keyed by ``(query id, catalog version)``.
-        self.plan_cache = None
         self._create_tables()
-
-    @property
-    def version(self) -> int:
-        """The current statistics epoch (plan-cache key component)."""
-        return self._version
-
-    def refresh_stats(self) -> int:
-        """Declare statistics refreshed: bump the epoch so the next
-        optimization of each query shape re-plans against current table
-        sizes (cached plans under older epochs stop being served)."""
-        self._version += 1
-        return self._version
 
     def _create_tables(self) -> None:
         def add(name: str, schema: Schema, pk: str | None = None) -> Table:

@@ -131,9 +131,6 @@ class PlannedPipeline:
 
     root: Operator
     decisions: list[PlannedJoin]
-    #: True when the decisions were served by the plan cache (operators
-    #: are always rebuilt — they embed this execution's probe keys).
-    from_cache: bool = False
 
     def execute(self) -> list[tuple]:
         return self.root.execute()
@@ -146,35 +143,24 @@ class PlannedPipeline:
 class Optimizer:
     """Plans join pipelines against a catalog.
 
-    When the catalog carries a :class:`repro.cache.PlanCache` and the
-    caller identifies the query shape (``query_id`` — an int for the 14
-    production plans, any hashable for named variants like the Fig. 4
-    leg pipelines), planning decisions are cached per ``(query id,
-    catalog version)``: a hit rebuilds the cheap operator chain from the
-    remembered join algorithms and skips cardinality estimation and
-    costing entirely.
+    Every call estimates and costs afresh from the tables' live row
+    counts, so each binding's join algorithms follow its own input
+    cardinalities.
     """
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self.estimator = CardinalityEstimator(catalog)
 
-    def plan(self, spec: JoinSpec,
-             query_id: int | str | None = None) -> PlannedPipeline:
-        """Choose join algorithms and build the physical plan.
-
-        ``query_id`` names the query shape for plan caching; pass None
-        for ad-hoc or force-overridden pipelines (never cached).
-        """
-        cache = self.catalog.plan_cache
-        if cache is not None and query_id is not None:
-            cached = cache.get(query_id, self.catalog.version)
-            if cached is not None:
-                return self._rebuild(spec, cached)
-        pipeline = self._plan_fresh(spec)
-        if cache is not None and query_id is not None:
-            cache.put(query_id, self.catalog.version, pipeline.decisions)
-        return pipeline
+    def plan(self, spec: JoinSpec) -> PlannedPipeline:
+        """Choose join algorithms and build the physical plan."""
+        root, outer_rows = self._source(spec)
+        decisions: list[PlannedJoin] = []
+        for index, step in enumerate(spec.steps):
+            root, outer_rows, decision = self._plan_step(
+                root, outer_rows, index, step)
+            decisions.append(decision)
+        return PlannedPipeline(root, decisions)
 
     def _source(self, spec: JoinSpec) -> tuple[Operator, float]:
         """Build the pipeline source and estimate its cardinality."""
@@ -196,26 +182,6 @@ class Optimizer:
                 spec.source_column).rows
         root.estimated_rows = rows
         return root, rows
-
-    def _plan_fresh(self, spec: JoinSpec) -> PlannedPipeline:
-        root, outer_rows = self._source(spec)
-        decisions: list[PlannedJoin] = []
-        for index, step in enumerate(spec.steps):
-            root, outer_rows, decision = self._plan_step(
-                root, outer_rows, index, step)
-            decisions.append(decision)
-        return PlannedPipeline(root, decisions)
-
-    def _rebuild(self, spec: JoinSpec,
-                 decisions) -> PlannedPipeline:
-        """Rebuild the operator chain from cached algorithm choices."""
-        root, _ = self._source(spec)
-        for index, (step, decision) in enumerate(
-                zip(spec.steps, decisions)):
-            root = self._build_join(root, index, step,
-                                    decision.algorithm)
-            root.estimated_rows = decision.estimated_output
-        return PlannedPipeline(root, list(decisions), from_cache=True)
 
     def _plan_step(self, outer: Operator, outer_rows: float, index: int,
                    step: JoinStep):

@@ -9,12 +9,13 @@ SQL extension as the pipeline source for the circle-shaped queries),
 followed by a thin column-wise finishing pass (sort/limit/enrichment).
 
 ``PIPELINES`` maps every query id 1–14 to its plan builder, so the
-Figure 4 bench and the plan-cache tests cover the full read mix.  The
-Fig. 4 *leg* pipelines (:func:`q5_pipeline`, :func:`q9_pipeline` — the
-knows ⨝ knows ⨝ … shapes the paper's choke-point analysis dissects) are
-kept verbatim and cached under their own ``"5.leg"``/``"9.leg"`` ids;
-the production queries use the circle-sourced plans cached under the
-integer ids.
+Figure 4 bench and the plan-coverage tests cover the full read mix.
+Every operation plans afresh: join algorithms follow the estimated
+input cardinality of *this* binding, which is the paper's Fig. 4
+point.  The Fig. 4 *leg* pipelines (:func:`q5_pipeline`,
+:func:`q9_pipeline` — the knows ⨝ knows ⨝ … shapes the paper's
+choke-point analysis dissects) are kept verbatim beside the
+circle-sourced plans the production queries use.
 
 All functions return the *same result dataclasses* as the graph-store
 implementations in :mod:`repro.queries`, so the test suite can assert the
@@ -97,20 +98,17 @@ def _columns(pipeline: PlannedPipeline):
             pipeline.root.schema.position)
 
 
-def _plan(catalog: Catalog, query_id: int | str, source: JoinSpec,
-          steps: list[JoinStep],
+def _plan(catalog: Catalog, source: JoinSpec, steps: list[JoinStep],
           force: dict[int, str] | None) -> PlannedPipeline:
-    """Plan the pipeline ``source`` ⨝ ``steps``, cached under ``query_id``.
+    """Plan the pipeline ``source`` ⨝ ``steps``.
 
-    ``force`` maps step index → "inl"/"hash"; a forced pipeline must not
-    poison (or be served by) the plan cache, so it plans uncached.
+    ``force`` maps step index → "inl"/"hash"; unforced steps are costed.
     """
     if force:
         for index, step in enumerate(steps):
             step.force = force.get(index)
     source.steps = steps
-    return Optimizer(catalog).plan(
-        source, query_id=None if force else query_id)
+    return Optimizer(catalog).plan(source)
 
 
 def _friends_of(person_id: int) -> JoinSpec:
@@ -139,7 +137,7 @@ def q1_plan(catalog: Catalog, params: g1.Q1Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q1: 3-hop circle expansion ⨝ person (pk), first-name residual."""
     source = _circle_of(params.person_id, g1.MAX_DISTANCE)
-    return _plan(catalog, 1, source, [
+    return _plan(catalog, source, [
         JoinStep("person", outer_key="node", inner_column=None,
                  residual=Compare("first_name", "eq", params.first_name),
                  selectivity=0.01),
@@ -193,7 +191,7 @@ def q1(catalog: Catalog, params: g1.Q1Params) -> list[g1.Q1Result]:
 def q2_pipeline(catalog: Catalog, params: g2.Q2Params,
                 force: dict[int, str] | None = None) -> PlannedPipeline:
     """The optimizer-planned pipeline for Q2 (knows ⨝ message)."""
-    return _plan(catalog, 2, _friends_of(params.person_id), [
+    return _plan(catalog, _friends_of(params.person_id), [
         JoinStep("message", outer_key="person2_id",
                  inner_column="creator_id",
                  residual=Compare("inner_creation_date", "le",
@@ -224,7 +222,7 @@ def q3_plan(catalog: Catalog, params: g3.Q3Params,
     window = CardinalityEstimator(catalog).date_selectivity(
         "message", "creation_date", params.start_date, params.end_date)
     countries = (params.country_x_id, params.country_y_id)
-    return _plan(catalog, 3, _circle_of(params.person_id, 2), [
+    return _plan(catalog, _circle_of(params.person_id, 2), [
         JoinStep("person", outer_key="node", inner_column=None,
                  residual=InSet("country_id", countries, negate=True),
                  selectivity=0.9),
@@ -267,7 +265,7 @@ def q3(catalog: Catalog, params: g3.Q3Params) -> list[g3.Q3Result]:
 def q4_plan(catalog: Catalog, params: g4.Q4Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q4: friends ⨝ posts (date residual) ⨝ message_tag."""
-    return _plan(catalog, 4, _friends_of(params.person_id), [
+    return _plan(catalog, _friends_of(params.person_id), [
         JoinStep("message", outer_key="person2_id",
                  inner_column="creator_id",
                  residual=All(
@@ -306,7 +304,7 @@ def q5_pipeline(catalog: Catalog, params: g5.Q5Params,
     friends-of-friends leg of the intended plan (Fig. 6a), feeding the
     forum/post aggregation that :func:`q5` performs.
     """
-    return _plan(catalog, "5.leg", _friends_of(params.person_id), [
+    return _plan(catalog, _friends_of(params.person_id), [
         JoinStep("knows", outer_key="person2_id",
                  inner_column="person1_id", repeat_expansion=True),
         JoinStep("membership", outer_key="inner_person2_id",
@@ -319,7 +317,7 @@ def q5_pipeline(catalog: Catalog, params: g5.Q5Params,
 def q5_plan(catalog: Catalog, params: g5.Q5Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q5 production plan: 2-hop circle ⨝ membership (date residual)."""
-    return _plan(catalog, 5, _circle_of(params.person_id, 2), [
+    return _plan(catalog, _circle_of(params.person_id, 2), [
         JoinStep("membership", outer_key="node",
                  inner_column="person_id",
                  residual=Compare("joined_date", "gt", params.min_date),
@@ -345,7 +343,7 @@ def q5(catalog: Catalog, params: g5.Q5Params) -> list[g5.Q5Result]:
 def q6_plan(catalog: Catalog, params: g6.Q6Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q6: 2-hop circle ⨝ posts ⨝ message_tag."""
-    return _plan(catalog, 6, _circle_of(params.person_id, 2), [
+    return _plan(catalog, _circle_of(params.person_id, 2), [
         JoinStep("message", outer_key="node", inner_column="creator_id",
                  residual=Compare("is_post", "eq", True),
                  selectivity=0.5),
@@ -380,7 +378,7 @@ def q6(catalog: Catalog, params: g6.Q6Params) -> list[g6.Q6Result]:
 def q7_plan(catalog: Catalog, params: g7.Q7Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q7: my messages ⨝ likes."""
-    return _plan(catalog, 7, _messages_of([params.person_id]), [
+    return _plan(catalog, _messages_of([params.person_id]), [
         JoinStep("likes", outer_key="id", inner_column="message_id"),
     ], force)
 
@@ -418,7 +416,7 @@ def q7(catalog: Catalog, params: g7.Q7Params) -> list[g7.Q7Result]:
 def q8_plan(catalog: Catalog, params: g8.Q8Params,
             force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q8: my messages ⨝ replies (reply_of index)."""
-    return _plan(catalog, 8, _messages_of([params.person_id]), [
+    return _plan(catalog, _messages_of([params.person_id]), [
         JoinStep("message", outer_key="id", inner_column="reply_of_id"),
     ], force)
 
@@ -454,7 +452,7 @@ def q9_pipeline(catalog: Catalog, params: g9.Q9Params,
     the penalty of a wrong choice.  The production :func:`q9` expands
     the full 1∪2-hop circle via :func:`q9_plan`.
     """
-    return _plan(catalog, "9.leg", _friends_of(params.person_id), [
+    return _plan(catalog, _friends_of(params.person_id), [
         JoinStep("knows", outer_key="person2_id",
                  inner_column="person1_id", repeat_expansion=True),
         JoinStep("message", outer_key="inner_person2_id",
@@ -470,7 +468,7 @@ def q9_plan(catalog: Catalog, params: g9.Q9Params,
     """Q9 production plan: 2-hop circle ⨝ message (date residual)."""
     window = CardinalityEstimator(catalog).date_selectivity(
         "message", "creation_date", None, params.max_date)
-    return _plan(catalog, 9, _circle_of(params.person_id, 2), [
+    return _plan(catalog, _circle_of(params.person_id, 2), [
         JoinStep("message", outer_key="node", inner_column="creator_id",
                  residual=Compare("creation_date", "lt",
                                   params.max_date),
@@ -553,7 +551,7 @@ def q10_plan(catalog: Catalog, params: g10.Q10Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q10: friends ⨝ knows (fof) ⨝ person (horoscope residual)."""
     month = params.month
-    return _plan(catalog, 10, _friends_of(params.person_id), [
+    return _plan(catalog, _friends_of(params.person_id), [
         JoinStep("knows", outer_key="person2_id",
                  inner_column="person1_id", repeat_expansion=True),
         JoinStep("person", outer_key="inner_person2_id",
@@ -605,7 +603,7 @@ def q11_plan(catalog: Catalog, params: g11.Q11Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q11: 2-hop circle ⨝ work_at (year residual) ⨝ organisation
     (country residual)."""
-    return _plan(catalog, 11, _circle_of(params.person_id, 2), [
+    return _plan(catalog, _circle_of(params.person_id, 2), [
         JoinStep("work_at", outer_key="node", inner_column="person_id",
                  residual=Compare("work_from", "lt",
                                   params.max_work_from),
@@ -639,7 +637,7 @@ def q11(catalog: Catalog, params: g11.Q11Params) -> list[g11.Q11Result]:
 def q12_plan(catalog: Catalog, params: g12.Q12Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q12: friends ⨝ comments (is_post=False residual)."""
-    return _plan(catalog, 12, _friends_of(params.person_id), [
+    return _plan(catalog, _friends_of(params.person_id), [
         JoinStep("message", outer_key="person2_id",
                  inner_column="creator_id",
                  residual=Compare("is_post", "eq", False),
@@ -696,7 +694,7 @@ def q13_plan(catalog: Catalog, params: g13.Q13Params,
              force: dict[int, str] | None = None) -> PlannedPipeline:
     """Q13: pure transitive expansion from x (no join steps)."""
     source = _circle_of(params.person_x_id, UNBOUNDED)
-    return _plan(catalog, 13, source, [], force)
+    return _plan(catalog, source, [], force)
 
 
 def q13(catalog: Catalog, params: g13.Q13Params) -> list[g13.Q13Result]:
@@ -765,7 +763,7 @@ def q14_plan(catalog: Catalog, params: g14.Q14Params,
         _, found, paths = _q14_search(catalog, params)
         members = sorted({node for path in paths for node in path}) \
             if found is not None else []
-    return _plan(catalog, 14, _messages_of(list(members)), [
+    return _plan(catalog, _messages_of(list(members)), [
         JoinStep("message", outer_key="reply_of_id", inner_column=None,
                  residual=InSet("inner_creator_id", members),
                  selectivity=0.05),
@@ -810,7 +808,7 @@ ENGINE_COMPLEX = {
 #: query id → optimizer plan builder — full coverage of the read mix.
 #: Every builder has signature ``(catalog, params, force=None)`` and
 #: returns a :class:`PlannedPipeline`; ``force`` maps step index →
-#: "inl"/"hash" and bypasses the plan cache.
+#: "inl"/"hash" instead of the costed choice.
 PIPELINES = {
     1: q1_plan, 2: q2_pipeline, 3: q3_plan, 4: q4_plan, 5: q5_plan,
     6: q6_plan, 7: q7_plan, 8: q8_plan, 9: q9_plan, 10: q10_plan,

@@ -43,16 +43,6 @@ def friends_within(txn: Transaction, person_id: int, max_hops: int,
     aggregate the adjacency of their owned slice of the frontier)
     instead of one round trip per person.
     """
-    csr_snapshot = getattr(txn, "csr_snapshot", None)
-    if csr_snapshot is not None:
-        # Packed-adjacency fast path: frontier expansion as flat-array
-        # slice+extend instead of per-record Python hops.  Available
-        # only for head-snapshot, read-clean transactions on stores
-        # with a CSR cache attached (csr_snapshot returns None
-        # otherwise, and sharded connectors lack the method entirely).
-        graph = csr_snapshot(EdgeLabel.KNOWS)
-        if graph is not None:
-            return graph.distances_from(person_id, max_hops)
     distances: dict[int, int] = {person_id: 0}
     frontier = [person_id]
     depth = 0

@@ -7,15 +7,10 @@ one flat target list plus a ``node → (start, stop)`` bounds dict, so
 BFS frontiers expand with slice-and-extend (C-level bulk copies) and
 level dedup is one ``set.difference_update``.
 
-Two consumers:
-
-* the engine — :meth:`repro.engine.rows.Table.csr` packs an edge table
-  lazily per row-count epoch for ``TransitiveExpand`` and the 2-hop
-  plans;
-* the store — :class:`CSRCache`, attached like the adjacency cache and
-  invalidated through the MVCC machinery: per-label edge-append
-  counters bumped on every commit/bulk path, so a packed snapshot is
-  served only while the visible edge set is provably unchanged.
+The consumer is the engine: :meth:`repro.engine.rows.Table.csr` packs
+an edge table lazily per row-count epoch for ``TransitiveExpand`` and
+Q14's shortest-path BFS.  The graph store reads its MVCC
+``_EdgeRecord`` lists directly.
 """
 
 from __future__ import annotations
@@ -58,10 +53,6 @@ class CSRGraph:
     def __len__(self) -> int:
         return len(self._targets)
 
-    @property
-    def node_count(self) -> int:
-        return len(self._bounds)
-
     def neighbors(self, node: Hashable) -> Sequence:
         bounds = self._bounds.get(node)
         if bounds is None:
@@ -95,58 +86,3 @@ class CSRGraph:
             seen.update(fresh)
             frontier = list(fresh)
             yield frontier, depth
-
-    def distances_from(self, source: Hashable,
-                       max_hops: int) -> dict[Hashable, int]:
-        """``node → hop distance`` for every node within ``max_hops``
-        of ``source`` (source excluded), BFS level at a time."""
-        distances: dict[Hashable, int] = {}
-        for frontier, depth in self.frontier_bfs(source, max_hops):
-            for node in frontier:
-                distances[node] = depth
-        return distances
-
-
-class CSRCache:
-    """Per-(label, direction) packed snapshots for the graph store.
-
-    MVCC validity rule: an entry built while scanning with visibility
-    ``ts <= snapshot`` stays correct for any reader at the *head*
-    snapshot as long as no edge of that label has been appended since
-    the build began — tracked by the store's per-label append counters.
-    Readers holding older snapshots, or transactions with their own
-    uncommitted edges, bypass the cache entirely (the store only calls
-    in for head-snapshot, read-clean transactions).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, tuple[int, CSRGraph]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def lookup(self, key: tuple, append_counter: int,
-               build: "callable") -> CSRGraph:
-        """Serve the packed graph for ``key`` if still valid, else
-        rebuild via ``build()`` and remember it with the pre-build
-        append counter (a concurrent append bumps the counter and the
-        next lookup rebuilds — the stale entry was still snapshot-
-        correct for the reader it served)."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry[0] == append_counter:
-                self.hits += 1
-                return entry[1]
-            self.invalidations += 1
-        self.misses += 1
-        graph = build()
-        self._entries[key] = (append_counter, graph)
-        return graph
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "invalidations": self.invalidations,
-                "entries": len(self._entries)}

@@ -98,18 +98,6 @@ class GraphStore:
         self._last_committed = 0
         self._commits = 0
         self._aborts = 0
-        #: Optional :class:`repro.cache.AdjacencyCache`.  When attached,
-        #: :meth:`Transaction.neighbors` serves visible adjacency from it
-        #: and commits invalidate the keys they touch (under the commit
-        #: lock, before the commit timestamp is published).
-        self.adjacency_cache = None
-        #: Optional :class:`repro.store.csr.CSRCache` of packed whole-
-        #: label adjacency (the BFS fast path).  Validity is tracked by
-        #: per-label append counters: every path that adds an edge
-        #: record bumps the label's counter, and a packed snapshot is
-        #: served only while the counter is unchanged.
-        self.csr_cache = None
-        self._edge_appends: dict[str, int] = {}
         #: Optional :class:`repro.faults.ConflictInjector`.  When
         #: attached, a seeded fraction of commits raise a genuine
         #: :class:`~repro.errors.WriteConflictError` before validation,
@@ -208,16 +196,6 @@ class GraphStore:
                     src, []).append(_EdgeRecord(dst, props, ts))
                 self._adjacency(label, Direction.IN).setdefault(
                     dst, []).append(_EdgeRecord(src, props, ts))
-                self._edge_appends[label] = \
-                    self._edge_appends.get(label, 0) + 1
-            if self.adjacency_cache is not None and txn.new_edges:
-                # Invalidate touched keys before the timestamp publish;
-                # the cache's serve-time snapshot-range check covers any
-                # reader racing this window.
-                self.adjacency_cache.invalidate(
-                    key for label, src, dst, __ in txn.new_edges
-                    for key in ((label, src, Direction.OUT),
-                                (label, dst, Direction.IN)))
             # Publish: the new snapshot becomes visible atomically here.
             self._last_committed = ts
             self._commits += 1
@@ -269,10 +247,6 @@ class GraphStore:
         for src, dst, props in rows:
             out_table.setdefault(src, []).append(_EdgeRecord(dst, props, 1))
             in_table.setdefault(dst, []).append(_EdgeRecord(src, props, 1))
-        self._edge_appends[label] = \
-            self._edge_appends.get(label, 0) + len(rows)
-        if self.adjacency_cache is not None:
-            self.adjacency_cache.clear()
         if self._last_committed < 1:
             self._last_committed = 1
 
@@ -290,10 +264,6 @@ class GraphStore:
         for dir_value, anchor, other, props in halves:
             self._adjacency(label, Direction(dir_value)).setdefault(
                 anchor, []).append(_EdgeRecord(other, props, 1))
-        self._edge_appends[label] = \
-            self._edge_appends.get(label, 0) + len(halves)
-        if self.adjacency_cache is not None:
-            self.adjacency_cache.clear()
         if self._last_committed < 1:
             self._last_committed = 1
 
@@ -328,12 +298,6 @@ class GraphStore:
             for label, dir_value, anchor, other, props in edge_halves:
                 self._adjacency(label, Direction(dir_value)).setdefault(
                     anchor, []).append(_EdgeRecord(other, props, ts))
-                self._edge_appends[label] = \
-                    self._edge_appends.get(label, 0) + 1
-            if self.adjacency_cache is not None and edge_halves:
-                self.adjacency_cache.invalidate(
-                    (label, anchor, Direction(dir_value))
-                    for label, dir_value, anchor, __, ___ in edge_halves)
             self._last_committed = ts
             self._commits += 1
             return ts
@@ -500,31 +464,9 @@ class Transaction:
 
     def neighbors(self, edge_label: str, vid: int,
                   direction: Direction = Direction.OUT,
-                  ) -> Iterable[tuple[int, dict[str, Any] | None]]:
-        """Visible ``(other id, edge props)`` pairs, as an iterable.
-
-        With an adjacency cache attached and no transaction-local edges,
-        this returns the materialized pair list itself — callers must
-        only iterate it, never mutate it (the cache shares the list and
-        replaces, rather than mutates, it on extension).
-        """
+                  ) -> Iterator[tuple[int, dict[str, Any] | None]]:
+        """Visible ``(other id, edge props)`` pairs, then own edge writes."""
         self._check_open()
-        store = self.store
-        cache = store.adjacency_cache
-        if cache is not None and not self.new_edges:
-            table = (store._out if direction is Direction.OUT
-                     else store._in).get(edge_label)
-            records = table.get(vid) if table is not None else None
-            if records is None:
-                return ()
-            return cache.lookup(
-                (edge_label, vid, direction), records, self.snapshot)
-        return self._neighbors_scan(edge_label, vid, direction)
-
-    def _neighbors_scan(self, edge_label: str, vid: int,
-                        direction: Direction,
-                        ) -> Iterator[tuple[int, dict[str, Any] | None]]:
-        """Generator path: uncached stores and write transactions."""
         snapshot = self.snapshot
         table = (self.store._out if direction is Direction.OUT
                  else self.store._in).get(edge_label)
@@ -533,15 +475,10 @@ class Transaction:
             # commits newer than our snapshot anyway) are not scanned.
             records = table.get(vid)
             if records is not None:
-                cache = self.store.adjacency_cache
-                if cache is not None:
-                    yield from cache.lookup(
-                        (edge_label, vid, direction), records, snapshot)
-                else:
-                    for position in range(len(records)):
-                        record = records[position]
-                        if record.ts <= snapshot:
-                            yield record.other, record.props
+                for position in range(len(records)):
+                    record = records[position]
+                    if record.ts <= snapshot:
+                        yield record.other, record.props
         for label, src, dst, props in self.new_edges:
             if label != edge_label:
                 continue
@@ -559,16 +496,16 @@ class Transaction:
         sharded store can scatter one request per shard and aggregate
         partial adjacency maps instead of paying one round trip per
         vertex.  Each list keeps the vertex's adjacency order.  Without
-        own edge writes or an adjacency cache it is a tight loop: open
-        check, table and snapshot resolved once, per-record visibility
-        inline (records appended meanwhile carry a newer timestamp and
-        are filtered like any other invisible record).
+        own edge writes it is a tight loop: open check, table and
+        snapshot resolved once, per-record visibility inline (records
+        appended meanwhile carry a newer timestamp and are filtered
+        like any other invisible record).
         """
         self._check_open()
-        store = self.store
-        if self.new_edges or store.adjacency_cache is not None:
+        if self.new_edges:
             return {vid: list(self.neighbors(edge_label, vid, direction))
                     for vid in vids}
+        store = self.store
         table = (store._out if direction is Direction.OUT
                  else store._in).get(edge_label)
         if table is None:
@@ -580,46 +517,10 @@ class Transaction:
                       if record.ts <= snapshot]
                 for vid in vids}
 
-    def csr_snapshot(self, edge_label: str,
-                     direction: Direction = Direction.OUT):
-        """Packed whole-label adjacency for this snapshot, or None.
-
-        Served from the store's :class:`~repro.store.csr.CSRCache` only
-        when it is provably equivalent to per-record visibility checks:
-        the transaction must hold the head snapshot and carry no edge
-        writes of its own.  The build filters by ``ts <= snapshot``, and
-        the cache keys validity on the label's pre-build append counter,
-        so a commit racing the build merely forces the next lookup to
-        rebuild — the raced entry was still correct for its reader.
-        """
-        self._check_open()
-        store = self.store
-        cache = store.csr_cache
-        if cache is None or self.new_edges \
-                or self.snapshot != store.last_committed:
-            return None
-        snapshot = self.snapshot
-        counter = store._edge_appends.get(edge_label, 0)
-        table = (store._out if direction is Direction.OUT
-                 else store._in).get(edge_label) or {}
-
-        def build():
-            from .csr import CSRGraph
-
-            return CSRGraph.from_adjacency(
-                {vid: [record.other for record in records
-                       if record.ts <= snapshot]
-                 for vid, records in table.items()})
-
-        return cache.lookup((edge_label, direction), counter, build)
-
     def degree(self, edge_label: str, vid: int,
                direction: Direction = Direction.OUT) -> int:
         """Number of visible neighbors."""
-        visible = self.neighbors(edge_label, vid, direction)
-        if isinstance(visible, (list, tuple)):
-            return len(visible)
-        return sum(1 for __ in visible)
+        return sum(1 for __ in self.neighbors(edge_label, vid, direction))
 
     def lookup(self, vertex_label: str, prop: str, value: Any) -> list[int]:
         """Equality index lookup."""

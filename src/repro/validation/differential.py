@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from ..cache.memo import touched_refs
 from ..curation.curator import CuratedWorkloadParams
-from ..datagen.update_stream import SplitDataset
+from ..datagen.update_stream import SplitDataset, UpdateKind, UpdateOperation
 from ..workload.operations import EntityRef
 from .canonical import ResultDiff, diff_results, read_outcome
 from .replay import FailingCheck, ReplayBundle
@@ -29,6 +28,33 @@ from .snapshot import SectionDiff, diff_snapshots
 #: Short reads taking a person ref / a message ref.
 _PERSON_SHORTS = (1, 2, 3)
 _MESSAGE_SHORTS = (4, 5, 6, 7)
+
+
+def touched_refs(operation: UpdateOperation) -> tuple[EntityRef, ...]:
+    """The entity refs whose short reads an update can change.
+
+    SNB-Interactive updates are pure inserts and person/message
+    attributes never change after insert, so the map is exact: a new
+    entity touches itself, a new message its author's S2 (and, for a
+    comment, the parent message's S7), a new friendship both persons.
+    """
+    kind = operation.kind
+    payload = operation.payload
+    if kind is UpdateKind.ADD_PERSON:
+        return (EntityRef.person(payload.id),)
+    if kind is UpdateKind.ADD_FRIENDSHIP:
+        return (EntityRef.person(payload.person1_id),
+                EntityRef.person(payload.person2_id))
+    if kind is UpdateKind.ADD_POST:
+        return (EntityRef.person(payload.author_id),
+                EntityRef.message(payload.id))
+    if kind is UpdateKind.ADD_COMMENT:
+        return (EntityRef.person(payload.author_id),
+                EntityRef.message(payload.id),
+                EntityRef.message(payload.reply_of_id))
+    # ADD_FORUM / ADD_FORUM_MEMBERSHIP / ADD_LIKE_*: no short read
+    # observes forums a person moderates, memberships, or likes.
+    return ()
 
 
 @dataclass(frozen=True)
@@ -52,8 +78,7 @@ def build_plan(split: SplitDataset, params: CuratedWorkloadParams,
     batch the plan schedules ``reads_per_batch`` complex reads (rotating
     through the curated templates and bindings so every binding is
     exercised against evolving state) and short reads aimed at entities
-    the batch's updates touched (via :func:`repro.cache.memo.touched_refs`
-    — the same map the cache invalidation trusts).  Every
+    the batch's updates touched (via :func:`touched_refs`).  Every
     ``snapshot_every`` batches, and at the end, a full state checkpoint.
     """
     plan: list[PlanStep] = []

@@ -10,7 +10,7 @@ This module is also home to the two pieces of operation *identity* shared
 across layers:
 
 * :class:`EntityRef` — the typed reference to a person/message entity
-  that short reads take as input (and the short-read memo uses as key);
+  that short reads take as input;
 * :func:`op_class_name` — the one mapping from any operation object to
   its latency/span class label (``Q9``, ``S3``, ``ADD_POST``, ...), used
   by the driver scheduler, the connector spans and the telemetry metrics
@@ -30,7 +30,7 @@ class EntityRef:
     """A typed, hashable reference to a workload entity.
 
     Replaces the raw ``(kind, id)`` tuples historically passed to short
-    reads.  Hashable (so it doubles as the short-read memo key) and
+    reads.  Hashable (so it can key sets and dicts) and
     tuple-compatible for the transition: it unpacks (``kind, eid = ref``),
     indexes (``ref[1]``), and compares equal to the tuple it replaces.
     """

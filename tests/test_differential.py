@@ -3,8 +3,10 @@ runner, and the driver-level DifferentialConnector."""
 
 from __future__ import annotations
 
-from repro.cache.memo import touched_refs
+import pytest
+
 from repro.core.sut import EngineSUT, StoreSUT
+from repro.datagen.update_stream import UpdateKind
 from repro.driver.connectors import DifferentialConnector
 from repro.driver.modes import ExecutionMode
 from repro.driver.scheduler import DriverConfig, WorkloadDriver
@@ -16,7 +18,52 @@ from repro.validation import (
     snapshot_digest,
     snapshot_store,
 )
+from repro.validation.differential import touched_refs
 from repro.workload.mix import build_mixed_stream
+from repro.workload.operations import EntityRef
+
+
+def _find(updates, kind):
+    for index, update in enumerate(updates):
+        if update.kind is kind:
+            return index, update
+    return None, None
+
+
+def _first_of(updates, kind):
+    index, update = _find(updates, kind)
+    if update is None:
+        pytest.skip(f"stream contains no {kind.name}")
+    return index, update
+
+
+def test_touched_refs_per_kind(split):
+    updates = split.updates
+    __, add_person = _first_of(updates, UpdateKind.ADD_PERSON)
+    assert touched_refs(add_person) \
+        == (EntityRef.person(add_person.payload.id),)
+
+    __, add_friend = _first_of(updates, UpdateKind.ADD_FRIENDSHIP)
+    assert touched_refs(add_friend) == (
+        EntityRef.person(add_friend.payload.person1_id),
+        EntityRef.person(add_friend.payload.person2_id))
+
+    __, add_post = _first_of(updates, UpdateKind.ADD_POST)
+    assert touched_refs(add_post) == (
+        EntityRef.person(add_post.payload.author_id),
+        EntityRef.message(add_post.payload.id))
+
+    __, add_comment = _first_of(updates, UpdateKind.ADD_COMMENT)
+    assert touched_refs(add_comment) == (
+        EntityRef.person(add_comment.payload.author_id),
+        EntityRef.message(add_comment.payload.id),
+        EntityRef.message(add_comment.payload.reply_of_id))
+
+    for kind in (UpdateKind.ADD_FORUM, UpdateKind.ADD_FORUM_MEMBERSHIP,
+                 UpdateKind.ADD_LIKE_POST, UpdateKind.ADD_LIKE_COMMENT):
+        __, update = _find(updates, kind)
+        if update is not None:
+            assert touched_refs(update) == ()
 
 
 class TestBuildPlan:

@@ -155,13 +155,12 @@ def test_roundtrip_result_shapes():
         OperationResult("S5", build_instance(
             codec.registered_types()["S5Result"])),
         OperationResult("ADD_POST", None),
-        OperationResult("S2", (), cached=True),
+        OperationResult("S2", ()),
     ]
     for result in results:
         wire = json.loads(json.dumps(codec.encode_result(result)))
         decoded = codec.decode_result(wire)
         assert decoded == result
-        assert decoded.cached == result.cached
 
 
 def test_entity_ref_as_json_roundtrip():

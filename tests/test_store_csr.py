@@ -1,12 +1,9 @@
-"""CSR packed adjacency: the graph structure, the store-side cache, and
-its MVCC invalidation rules (served only to head-snapshot, read-clean
-transactions; per-label append counters invalidate)."""
+"""CSR packed adjacency: the graph structure the engine's
+``Table.csr`` builds and its BFS primitives."""
 
 from __future__ import annotations
 
-from repro.queries.helpers import friends_within
-from repro.store.csr import CSRCache, CSRGraph
-from repro.store.loader import EdgeLabel
+from repro.store.csr import CSRGraph
 
 
 class TestCSRGraph:
@@ -17,7 +14,6 @@ class TestCSRGraph:
         assert list(graph.neighbors(4)) == []
         assert list(graph.neighbors(99)) == []
         assert len(graph) == 3
-        assert graph.node_count == 3
 
     def test_from_edges_groups_by_source(self):
         graph = CSRGraph.from_edges([(1, 2), (2, 3), (1, 4)])
@@ -34,74 +30,3 @@ class TestCSRGraph:
         levels = list(graph.frontier_bfs(1, 10))
         assert [(sorted(frontier), depth) for frontier, depth in levels] \
             == [([2, 3], 1), ([4], 2), ([5], 3)]
-
-    def test_distances_exclude_source(self):
-        graph = CSRGraph.from_adjacency({1: [2], 2: [1, 3], 3: [2]})
-        assert graph.distances_from(1, 2) == {2: 1, 3: 2}
-        assert graph.distances_from(1, 1) == {2: 1}
-
-
-class TestCSRCache:
-    def test_hit_miss_invalidation_counters(self):
-        cache = CSRCache()
-        graph_a = CSRGraph.from_adjacency({1: [2]})
-        graph_b = CSRGraph.from_adjacency({1: [2, 3]})
-        assert cache.lookup(("knows",), 7, lambda: graph_a) is graph_a
-        assert cache.lookup(("knows",), 7, lambda: graph_b) is graph_a
-        assert cache.lookup(("knows",), 8, lambda: graph_b) is graph_b
-        stats = cache.stats()
-        assert stats == {"hits": 1, "misses": 2, "invalidations": 1,
-                         "entries": 1}
-        cache.clear()
-        assert cache.stats()["entries"] == 0
-
-
-class TestStoreIntegration:
-    def test_friends_within_matches_scan_path(self, fresh_store,
-                                              network):
-        person = network.persons[0].id
-        with fresh_store.transaction() as txn:
-            baseline = friends_within(txn, person, 2)
-        fresh_store.csr_cache = CSRCache()
-        with fresh_store.transaction() as txn:
-            packed = friends_within(txn, person, 2)
-        assert packed == baseline
-        assert fresh_store.csr_cache.misses == 1
-        with fresh_store.transaction() as txn:
-            assert friends_within(txn, person, 2) == baseline
-        assert fresh_store.csr_cache.hits == 1
-
-    def test_transaction_with_own_edges_bypasses(self, fresh_store,
-                                                 network):
-        fresh_store.csr_cache = CSRCache()
-        a, b = network.persons[0].id, network.persons[1].id
-        with fresh_store.transaction() as txn:
-            txn.insert_edge(EdgeLabel.KNOWS, a, b,
-                            {"creation_date": 1})
-            assert txn.csr_snapshot(EdgeLabel.KNOWS) is None
-            txn.abort()
-
-    def test_stale_snapshot_bypasses(self, fresh_store, network):
-        fresh_store.csr_cache = CSRCache()
-        a, b = network.persons[0].id, network.persons[2].id
-        reader = fresh_store.transaction()
-        with fresh_store.transaction() as writer:
-            writer.insert_undirected_edge(EdgeLabel.KNOWS, a, b,
-                                          {"creation_date": 5})
-        # The reader's snapshot predates the commit: no packed serve.
-        assert reader.csr_snapshot(EdgeLabel.KNOWS) is None
-        reader.abort()
-
-    def test_commit_invalidates_packed_snapshot(self, fresh_store,
-                                                network):
-        fresh_store.csr_cache = CSRCache()
-        a, b = network.persons[0].id, network.persons[3].id
-        with fresh_store.transaction() as txn:
-            before = friends_within(txn, a, 1)
-        with fresh_store.transaction() as writer:
-            writer.insert_undirected_edge(EdgeLabel.KNOWS, a, b,
-                                          {"creation_date": 5})
-        with fresh_store.transaction() as txn:
-            after = friends_within(txn, a, 1)
-        assert set(after) == set(before) | {b}
-        assert fresh_store.csr_cache.invalidations >= 1

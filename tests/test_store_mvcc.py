@@ -18,6 +18,32 @@ def store():
     return s
 
 
+def _vertex(txn, label, vid):
+    props = txn.vertex(label, vid)
+    return {} if props is None else {vid: props}
+
+
+def _vertex_batched(txn, label, vid):
+    return txn.vertex_many(label, [vid])
+
+
+def _neighbors(txn, label, vid):
+    return list(txn.neighbors(label, vid))
+
+
+def _neighbors_batched(txn, label, vid):
+    return txn.neighbors_many(label, [vid])[vid]
+
+
+#: The per-call read primitives and their batched counterparts (the
+#: ones every SNB read expands frontiers through), answering in the
+#: batched shape: only visible vertices are keys.
+READ_PRIMITIVES = pytest.mark.parametrize(
+    "read_vertex, read_neighbors",
+    [(_vertex, _neighbors), (_vertex_batched, _neighbors_batched)],
+    ids=["per_call", "batched"])
+
+
 class TestSnapshotIsolation:
     def test_reader_does_not_see_later_commit(self, store):
         reader = store.transaction(IsolationLevel.SNAPSHOT)
@@ -28,20 +54,32 @@ class TestSnapshotIsolation:
         assert reader.vertex("person", 1)["age"] == 30
         reader.commit()
 
-    def test_reader_does_not_see_later_insert(self, store):
+    @READ_PRIMITIVES
+    def test_reader_does_not_see_later_insert(self, store, read_vertex,
+                                              read_neighbors):
         reader = store.transaction(IsolationLevel.SNAPSHOT)
         with store.transaction() as writer:
             writer.insert_vertex("person", 2, {})
-        assert reader.vertex("person", 2) is None
+        assert read_vertex(reader, "person", 2) == {}
+        assert read_vertex(reader, "person", 1) == {1: {"age": 30}}
         assert reader.count_vertices("person") == 1
         reader.commit()
 
-    def test_reader_does_not_see_later_edges(self, store):
+    @READ_PRIMITIVES
+    def test_reader_does_not_see_later_edges(self, store, read_vertex,
+                                             read_neighbors):
+        with store.transaction() as txn:
+            txn.insert_vertex("person", 3, {})
+            txn.insert_edge("knows", 1, 3)
         reader = store.transaction(IsolationLevel.SNAPSHOT)
         with store.transaction() as writer:
             writer.insert_vertex("person", 2, {})
             writer.insert_edge("knows", 1, 2)
-        assert reader.degree("knows", 1) == 0
+        # The later record sits in the same adjacency list, after the
+        # visible one; the snapshot filter must drop it.
+        assert read_neighbors(reader, "knows", 1) == [(3, None)]
+        assert read_neighbors(reader, "knows", 2) == []
+        assert reader.degree("knows", 1) == 1
         reader.commit()
 
     def test_new_transaction_sees_commit(self, store):
@@ -57,6 +95,31 @@ class TestSnapshotIsolation:
             writer.update_vertex("person", 1, age=31)
         assert reader.vertex("person", 1)["age"] == 31
         reader.commit()
+
+
+class TestOwnWrites:
+    def test_batched_reads_merge_own_writes_with_committed(self, store):
+        with store.transaction() as txn:
+            txn.insert_vertex("person", 3, {"age": 20})
+            txn.insert_edge("knows", 1, 3)
+        writer = store.transaction()
+        writer.insert_vertex("person", 2, {"age": 25})
+        writer.update_vertex("person", 1, age=31)
+        writer.insert_edge("knows", 1, 2, {"since": 5})
+        assert writer.vertex_many("person", [1, 2, 3, 99]) == {
+            1: {"age": 31}, 2: {"age": 25}, 3: {"age": 20}}
+        assert writer.neighbors_many("knows", [1, 2, 3]) == {
+            1: [(3, None), (2, {"since": 5})], 2: [], 3: []}
+        assert writer.neighbors_many("knows", [2, 3], Direction.IN) == {
+            2: [(1, {"since": 5})], 3: [(1, None)]}
+        # Nothing is visible outside the writer before it commits.
+        with store.transaction() as reader:
+            assert reader.vertex_many("person", [1, 2]) == {1: {"age": 30}}
+            assert reader.neighbors_many("knows", [1]) == {1: [(3, None)]}
+        writer.commit()
+        with store.transaction() as reader:
+            assert reader.neighbors_many("knows", [1]) == {
+                1: [(3, None), (2, {"since": 5})]}
 
 
 class TestWriteConflicts:

@@ -1,10 +1,8 @@
 """Cross-SUT update parity: every update kind, observed through short
-reads over the touched entities, with and without the caching layer."""
+reads over the touched entities."""
 
 from __future__ import annotations
 
-from repro.cache import AdjacencyCache, ShortReadMemo
-from repro.cache.memo import touched_refs
 from repro.core.operation import ShortRead, Update
 from repro.core.sut import EngineSUT, StoreSUT
 from repro.datagen.update_stream import UpdateKind
@@ -14,6 +12,7 @@ from repro.validation import (
     snapshot_digest,
     snapshot_store,
 )
+from repro.validation.differential import touched_refs
 
 _PERSON_SHORTS = (1, 2, 3)
 _MESSAGE_SHORTS = (4, 5, 6, 7)
@@ -49,46 +48,3 @@ class TestUpdateParity:
             f"stream lacks kinds: {set(UpdateKind) - seen}"
         assert snapshot_digest(snapshot_store(store.store)) \
             == snapshot_digest(snapshot_catalog(engine.catalog))
-
-    def test_memoized_short_reads_never_go_stale(self, small_split):
-        """The staleness oracle: a store with the adjacency cache and
-        the short-read memo enabled must keep answering short reads
-        identically to an uncached store and the engine while updates
-        invalidate entries underneath it."""
-        cached = StoreSUT.for_network(small_split.bulk)
-        cached.store.adjacency_cache = AdjacencyCache()
-        plain = StoreSUT.for_network(small_split.bulk)
-        engine = EngineSUT.for_network(small_split.bulk)
-        memo = ShortReadMemo()
-
-        def memoized(query_id, ref):
-            result, token = memo.begin(query_id, ref)
-            if token is None:
-                return result
-            value = cached.execute(ShortRead(query_id, ref)).value
-            memo.put(query_id, ref, value, token)
-            return value
-
-        for i, op in enumerate(small_split.updates[:600]):
-            for sut in (cached, plain, engine):
-                sut.execute(Update(op))
-            memo.note_update(op)
-            if i % 7 != 0:
-                continue
-            for ref in touched_refs(op):
-                query_id = _pools(ref)[i % len(_pools(ref))]
-                # Twice: a cold read (after invalidation) and a warm
-                # read served from the memo.
-                first = canonicalize(memoized(query_id, ref))
-                second = canonicalize(memoized(query_id, ref))
-                oracle = canonicalize(
-                    plain.execute(ShortRead(query_id, ref)).value)
-                engine_view = canonicalize(
-                    engine.execute(ShortRead(query_id, ref)).value)
-                assert first == oracle == engine_view, \
-                    f"S{query_id} on {ref} after {op.kind.name}"
-                assert second == oracle, \
-                    f"memo served stale S{query_id} on {ref}"
-        assert memo.stats.hits > 0
-        assert memo.stats.invalidations > 0
-        assert cached.store.adjacency_cache.stats.hits > 0
