@@ -30,7 +30,6 @@ from repro.datagen.update_stream import split_network
 from repro.driver.modes import ExecutionMode
 from repro.net import ReproServer, ServerConfig
 from repro.store import load_network
-from repro.validation import snapshot_digest, snapshot_store
 
 
 def _config(persons: int, seed: int, partitions: int,
@@ -139,11 +138,8 @@ def run_ab(persons: int, seed: int, partitions: int, workers: int,
     # deterministic generation the in-process run bulk-loads locally.
     split = split_network(generate(DatagenConfig(num_persons=persons,
                                                  seed=seed)))
-    store = load_network(split.bulk)
-    server = ReproServer(
-        StoreSUT(store),
-        ServerConfig(workers=workers, queue_size=256),
-        digest_fn=lambda: snapshot_digest(snapshot_store(store)))
+    server = ReproServer(StoreSUT(load_network(split.bulk)),
+                         ServerConfig(workers=workers, queue_size=256))
     host, port = server.start()
     try:
         remote_report, remote_digest = _run(

@@ -115,19 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode",
                        choices=("parallel", "sequential", "windowed"),
                        default="sequential")
-    bench.add_argument(
-        "--remote", metavar="HOST:PORT", default=None,
-        help="drive a 'repro serve' instance over the wire instead of "
-             "loading a SUT in-process (start the server with the same "
-             "--persons/--seed)")
+    _add_deployment_flags(bench, remote=True)
     bench.add_argument(
         "--digest", action="store_true",
         help="print the SUT's final-state digest after the run (the "
              "remote/in-process equivalence oracle)")
-    bench.add_argument(
-        "--shards", type=int, default=0,
-        help="partition the store SUT across N worker processes "
-             "behind the shard router (0 = in-process, the default)")
     _add_trace_flag(bench)
 
     explain = commands.add_parser(
@@ -164,11 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay-out", metavar="PATH", default=None,
         help="--updates: write the replay bundle of the first "
              "mismatch here")
-    crosscheck.add_argument(
-        "--shards", type=int, default=0,
-        help="with --updates: check the single-process store against "
-             "the N-shard multi-process store instead of the engine "
-             "(digest equality proves shard placement loses nothing)")
+    _add_deployment_flags(crosscheck)
 
     chaos = commands.add_parser(
         "chaos",
@@ -207,17 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "failing the run (graceful degradation)")
     chaos.add_argument("--attempt-timeout", type=float, default=None,
                        help="per-attempt watchdog budget in seconds")
-    chaos.add_argument(
-        "--remote", metavar="HOST:PORT", default=None,
-        help="soak a 'repro serve' instance over the wire: faults "
-             "perturb the client side, the clean digest is computed "
-             "locally, the final digest is fetched from the server "
-             "(requires --sut store or engine matching the server, "
-             "and --store-conflicts 0)")
-    chaos.add_argument(
-        "--shards", type=int, default=0,
-        help="soak the N-shard multi-process store (requires --sut "
-             "store); the clean digest stays single-process")
+    _add_deployment_flags(chaos, remote=True, wal_dir=True)
     chaos.add_argument("--shard-abort-rate", type=float, default=0.0,
                        help="--shards: fraction of worker applies "
                             "aborted before any state change")
@@ -244,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="--shards: fraction of worker writes that "
                             "die mid-WAL-append, leaving a torn "
                             "trailing record recovery must skip")
-    chaos.add_argument("--shard-wal-dir", default=None,
-                       help="--shards: directory for per-shard WALs + "
-                            "the 2PC coordinator log; arms supervised "
-                            "worker recovery")
     chaos.add_argument("--shard-max-restarts", type=int, default=64,
                        help="--shards: supervised worker respawn "
                             "budget before a dead shard degrades to "
@@ -278,14 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-estimated-rows", type=float, default=None,
         help="admission-control ceiling on a complex read's estimated "
              "traversal cardinality (default: no ceiling)")
-    serve.add_argument(
-        "--shards", type=int, default=0,
-        help="serve the N-shard multi-process store (requires --sut "
-             "store); clients drive it over the wire unchanged")
-    serve.add_argument(
-        "--shard-wal-dir", default=None,
-        help="--shards: directory for per-shard WALs + the 2PC "
-             "coordinator log; arms supervised worker crash recovery")
+    _add_deployment_flags(serve, wal_dir=True)
     serve.add_argument(
         "--drain-timeout", type=float, default=5.0,
         help="SIGTERM grace: stop accepting, finish in-flight "
@@ -293,6 +260,29 @@ def build_parser() -> argparse.ArgumentParser:
              "seconds, then close")
     _add_trace_flag(serve)
     return parser
+
+
+def _add_deployment_flags(subparser, *, remote: bool = False,
+                          wal_dir: bool = False) -> None:
+    """Where the SUT runs; :func:`repro.core.sut.load_sut` decides."""
+    subparser.add_argument(
+        "--shards", type=int, default=0,
+        help="partition the graph store across N worker processes "
+             "behind the shard router (0 = in-process, the default; "
+             "crosscheck: with --updates, the side checked against the "
+             "single-process store)")
+    if remote:
+        subparser.add_argument(
+            "--remote", metavar="HOST:PORT", default=None,
+            help="drive a 'repro serve' instance over the wire instead "
+                 "of loading a SUT in-process (start it with the same "
+                 "--persons/--seed and --sut)")
+    if wal_dir:
+        subparser.add_argument(
+            "--shard-wal-dir", default=None,
+            help="--shards: directory for per-shard WALs + the 2PC "
+                 "coordinator log; arms supervised worker crash "
+                 "recovery")
 
 
 def _add_trace_flag(subparser) -> None:
@@ -501,15 +491,6 @@ def _cmd_benchmark(args) -> int:
     from .driver.clock import AS_FAST_AS_POSSIBLE
     from .driver.modes import ExecutionMode
 
-    if args.shards:
-        if args.remote:
-            raise SystemExit(
-                "--shards loads the sharded SUT in-process; start the "
-                "server with --shards instead of combining it with "
-                "--remote")
-        if args.sut != "store":
-            raise SystemExit(
-                "--shards partitions the graph store; use --sut store")
     config = BenchmarkConfig(
         num_persons=args.persons,
         seed=args.seed,
@@ -522,17 +503,19 @@ def _cmd_benchmark(args) -> int:
         shards=args.shards,
     )
     benchmark = InteractiveBenchmark(config)
-    # Preparation (datagen, bulk load, curation) happens untraced so the
-    # trace covers the measured run only.
-    benchmark.prepare()
-    trace = _TraceSession(args.trace)
-    report = benchmark.run()
-    print(render_report(report))
-    if args.digest:
-        print(f"final-state digest: {benchmark.final_state_digest()}")
-    # Shard workers drain their span buffers into the router's
-    # telemetry on close, so close before exporting the trace.
-    benchmark.close()
+    try:
+        # Preparation (datagen, bulk load, curation) happens untraced so
+        # the trace covers the measured run only.
+        benchmark.prepare()
+        trace = _TraceSession(args.trace)
+        report = benchmark.run()
+        print(render_report(report))
+        if args.digest:
+            print(f"final-state digest: {benchmark.final_state_digest()}")
+    finally:
+        # Shard workers drain their span buffers into the router's
+        # telemetry on close, so close before exporting the trace.
+        benchmark.close()
     trace.finish()
     return 0
 
@@ -587,11 +570,11 @@ def _cmd_crosscheck(args) -> int:
             .curate(args.k)
         right_factory = None
         if args.shards:
-            from .shard import ShardedStoreSUT
+            from functools import partial
 
-            def right_factory(bulk):
-                return ShardedStoreSUT.for_network(bulk, args.shards)
+            from .core.sut import load_sut
 
+            right_factory = partial(load_sut, "store", shards=args.shards)
             print(f"crosscheck: single-process store vs "
                   f"{args.shards}-shard multi-process store")
         report, bundle = run_differential(
@@ -629,43 +612,27 @@ def _cmd_chaos(args) -> int:
           f"plan seed {args.plan_seed}, abort={args.abort_rate} "
           f"latency={args.latency_rate} hang={args.hang_rate} "
           f"fatal={args.fatal_rate} conflicts={args.store_conflicts}")
-    if args.remote:
-        if args.sut == "both":
-            raise SystemExit(
-                "--remote: pass --sut store or --sut engine matching "
-                "the server (the clean digest is computed locally)")
-        if args.store_conflicts:
-            raise SystemExit(
-                "--remote: store-level conflict injection is "
-                "in-process only")
+    if args.remote and args.sut == "both":
+        raise SystemExit(
+            "--remote: pass --sut store or --sut engine matching "
+            "the server (the clean digest is computed locally)")
+    if args.shards and args.sut == "both":
+        args.sut = "store"  # only the store shards
     shard_faults = None
-    if args.shards:
-        if args.sut not in ("store", "both"):
-            raise SystemExit(
-                "--shards partitions the graph store; use --sut store")
-        if args.remote:
-            raise SystemExit(
-                "--shards spawns the sharded SUT in-process; start "
-                "the server with --shards instead")
-        if args.store_conflicts:
-            raise SystemExit(
-                "--shards: use --shard-abort-rate/--shard-delay-rate "
-                "to fault the workers instead of --store-conflicts")
-        args.sut = "store"
-        if args.shard_abort_rate or args.shard_delay_rate \
-                or args.shard_kill_rate \
-                or args.shard_kill_after_prepare \
-                or args.shard_torn_wal_rate:
-            from .shard import ShardFaultPlan
+    if args.shards and (args.shard_abort_rate or args.shard_delay_rate
+                        or args.shard_kill_rate
+                        or args.shard_kill_after_prepare
+                        or args.shard_torn_wal_rate):
+        from .shard import ShardFaultPlan
 
-            shard_faults = ShardFaultPlan(
-                abort_rate=args.shard_abort_rate,
-                delay_rate=args.shard_delay_rate,
-                delay_seconds=args.shard_delay_ms / 1000.0,
-                kill_rate=args.shard_kill_rate,
-                kill_after_prepare=args.shard_kill_after_prepare,
-                torn_wal_rate=args.shard_torn_wal_rate,
-                seed=args.plan_seed)
+        shard_faults = ShardFaultPlan(
+            abort_rate=args.shard_abort_rate,
+            delay_rate=args.shard_delay_rate,
+            delay_seconds=args.shard_delay_ms / 1000.0,
+            kill_rate=args.shard_kill_rate,
+            kill_after_prepare=args.shard_kill_after_prepare,
+            torn_wal_rate=args.shard_torn_wal_rate,
+            seed=args.plan_seed)
     shard_wal_dir = args.shard_wal_dir
     wal_tempdir = None
     if args.shards and shard_wal_dir is None and shard_faults is not None \
@@ -704,83 +671,59 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .core.sut import load_sut
     from .datagen.update_stream import split_network
     from .net import ReproServer, ServerConfig
-    from .validation.snapshot import snapshot_catalog, snapshot_digest, \
-        snapshot_store
 
-    if args.shards and args.sut != "store":
-        raise SystemExit(
-            "--shards partitions the graph store; use --sut store")
     shard_note = f", {args.shards} shards" if args.shards else ""
     print(f"loading {args.sut} SUT: {args.persons} persons "
           f"(seed {args.seed}{shard_note}) ...")
     network = generate(DatagenConfig(num_persons=args.persons,
                                      seed=args.seed))
     split = split_network(network)
-    if args.shards:
-        from .shard import ShardedStoreSUT
-
-        sut = ShardedStoreSUT.for_network(split.bulk, args.shards,
-                                          wal_dir=args.shard_wal_dir)
-        digest_fn = sut.digest
-    elif args.sut == "store":
-        from .core.sut import StoreSUT
-
-        sut = StoreSUT.for_network(split.bulk)
-
-        def digest_fn() -> str:
-            return snapshot_digest(snapshot_store(sut.store))
-    else:
-        from .core.sut import EngineSUT
-
-        sut = EngineSUT.for_network(split.bulk)
-
-        def digest_fn() -> str:
-            return snapshot_digest(snapshot_catalog(sut.catalog))
-
-    config = ServerConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        queue_size=args.queue_size, retry_after=args.retry_after,
-        # The engine's catalog has no internal concurrency control.
-        serialize=(args.sut == "engine"),
-        max_estimated_rows=args.max_estimated_rows,
-        drain_timeout=args.drain_timeout)
-    trace = _TraceSession(args.trace)
-    server = ReproServer(sut, config, digest_fn=digest_fn)
-    host, port = server.start()
-
-    # SIGTERM = graceful drain: stop accepting, let in-flight (and
-    # queued duplicate) requests finish, then close.  A pipelined
-    # client mid-batch gets its answers instead of a reset socket.
-    import signal
-
-    def _drain_handler(signum, frame):
-        print(f"\nSIGTERM: draining (timeout "
-              f"{args.drain_timeout:.1f}s)")
-        completed = server.drain(args.drain_timeout)
-        print("drain " + ("complete" if completed else "timed out"))
-
-    signal.signal(signal.SIGTERM, _drain_handler)
-    admission = "off" if args.max_estimated_rows is None else \
-        f"max {args.max_estimated_rows:.0f} estimated rows " \
-        f"(avg degree {server.admission.average_degree:.1f})"
-    print(f"serving {sut.name} on {host}:{port} "
-          f"({args.workers} workers, queue {args.queue_size}, "
-          f"admission {admission})")
-    print("drive it with: repro benchmark "
-          f"--persons {args.persons} --seed {args.seed} "
-          f"--remote {host}:{port}")
+    sut = load_sut(args.sut, split.bulk, shards=args.shards,
+                   wal_dir=args.shard_wal_dir)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-        server.shutdown()
-    stats = server.stats()
-    print("served: " + ", ".join(f"{k}={v}"
-                                 for k, v in sorted(stats.items()) if v))
-    if args.shards:
-        sut.close()  # stop the shard workers (drains spans first)
+        config = ServerConfig(
+            host=args.host, port=args.port, workers=args.workers,
+            queue_size=args.queue_size, retry_after=args.retry_after,
+            max_estimated_rows=args.max_estimated_rows,
+            drain_timeout=args.drain_timeout)
+        trace = _TraceSession(args.trace)
+        server = ReproServer(sut, config)
+        host, port = server.start()
+
+        # SIGTERM = graceful drain: stop accepting, let in-flight (and
+        # queued duplicate) requests finish, then close.  A pipelined
+        # client mid-batch gets its answers instead of a reset socket.
+        import signal
+
+        def _drain_handler(signum, frame):
+            print(f"\nSIGTERM: draining (timeout "
+                  f"{args.drain_timeout:.1f}s)")
+            completed = server.drain(args.drain_timeout)
+            print("drain " + ("complete" if completed else "timed out"))
+
+        signal.signal(signal.SIGTERM, _drain_handler)
+        admission = "off" if args.max_estimated_rows is None else \
+            f"max {args.max_estimated_rows:.0f} estimated rows " \
+            f"(avg degree {server.admission.average_degree:.1f})"
+        print(f"serving {sut.name} on {host}:{port} "
+              f"({args.workers} workers, queue {args.queue_size}, "
+              f"admission {admission})")
+        print("drive it with: repro benchmark "
+              f"--persons {args.persons} --seed {args.seed} "
+              f"--remote {host}:{port}")
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("\nshutting down")
+            server.shutdown()
+        stats = server.stats()
+        print("served: " + ", ".join(
+            f"{k}={v}" for k, v in sorted(stats.items()) if v))
+    finally:
+        sut.close()  # stops shard workers (they drain spans first)
     trace.finish()
     return 0
 
@@ -799,8 +742,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from .errors import BenchmarkError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BenchmarkError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -25,14 +25,12 @@ from ..driver.clock import AS_FAST_AS_POSSIBLE
 from ..driver.metrics import ClassStats, steady_state_ok
 from ..driver.modes import ExecutionMode
 from ..driver.scheduler import DriverConfig, WorkloadDriver
-from ..engine.catalog import load_catalog
 from ..errors import BenchmarkError
 from ..schema.dataset import SocialNetwork
-from ..store.loader import load_network
 from ..workload.mix import QueryMix, build_mixed_stream
 from ..workload.random_walk import RandomWalkConfig
 from .connector import InteractiveConnector
-from .sut import EngineSUT, StoreSUT, SystemUnderTest
+from .sut import SystemUnderTest, load_sut
 
 
 @dataclass
@@ -114,7 +112,8 @@ class InteractiveBenchmark:
                                 seed=config.seed)
         self.network = generate(datagen)
         self.split = split_network(self.network)
-        self.sut = self._load_sut(self.split.bulk)
+        self.sut = load_sut(config.sut, self.split.bulk,
+                            shards=config.shards, remote=config.remote)
         stats = FrequencyStatistics.of(self.network)
         curator = ParameterCurator(self.network, stats, seed=config.seed)
         self.params = curator.curate(config.bindings_per_query,
@@ -125,28 +124,6 @@ class InteractiveBenchmark:
         self.connector = InteractiveConnector(self.sut, config.walk,
                                               seed=config.seed)
 
-    def _load_sut(self, bulk: SocialNetwork) -> SystemUnderTest:
-        if self.config.remote is not None:
-            # The wire client is a SUT: execute(op) -> OperationResult.
-            # The server owns the bulk-loaded state; nothing is loaded
-            # locally.
-            from ..net.client import RemoteConnector
-
-            return RemoteConnector.parse(self.config.remote)
-        if self.config.shards > 0:
-            if self.config.sut != "store":
-                raise BenchmarkError(
-                    "--shards partitions the graph store; combine it "
-                    "with --sut store")
-            from ..shard import ShardedStoreSUT
-
-            return ShardedStoreSUT.for_network(bulk, self.config.shards)
-        if self.config.sut == "store":
-            return StoreSUT(load_network(bulk))
-        if self.config.sut == "engine":
-            return EngineSUT(load_catalog(bulk))
-        raise BenchmarkError(f"unknown SUT {self.config.sut!r}")
-
     def final_state_digest(self) -> str:
         """Canonical digest of the SUT's state after the run.
 
@@ -154,30 +131,14 @@ class InteractiveBenchmark:
         run against a server loaded with the same (persons, seed) must
         report the byte-identical digest an in-process run reports.
         """
-        from ..validation.snapshot import (
-            snapshot_catalog,
-            snapshot_digest,
-            snapshot_store,
-        )
-
-        sut = self.sut
-        if sut is None:
+        if self.sut is None:
             raise BenchmarkError("run the benchmark before digesting")
-        digest = getattr(sut, "digest", None)
-        if callable(digest):  # the remote client's admin round-trip
-            return digest()
-        if isinstance(sut, StoreSUT):
-            return snapshot_digest(snapshot_store(sut.store))
-        if isinstance(sut, EngineSUT):
-            return snapshot_digest(snapshot_catalog(sut.catalog))
-        raise BenchmarkError(
-            f"no digest strategy for SUT {type(sut).__name__}")
+        return self.sut.digest()
 
     def close(self) -> None:
         """Release SUT resources (shard workers, wire connections)."""
-        close = getattr(self.sut, "close", None)
-        if callable(close):
-            close()
+        if self.sut is not None:
+            self.sut.close()
 
     # -- the measured run ---------------------------------------------------
 

@@ -22,7 +22,7 @@ from .. import telemetry
 from ..datagen.update_stream import UpdateOperation
 from ..engine.catalog import Catalog
 from ..engine import snb_queries as engine_queries
-from ..errors import WorkloadError
+from ..errors import BenchmarkError, WorkloadError
 from ..queries.registry import COMPLEX_QUERIES, SHORT_QUERIES
 from ..queries.updates import execute_update
 from ..store.graph import GraphStore
@@ -58,6 +58,10 @@ class BaseSUT:
     name = "base"
     supports_reads = True
     is_remote = False
+    #: Whether concurrent callers (driver partitions, server workers)
+    #: must funnel calls through one lock: True for SUTs without
+    #: internal concurrency control.
+    serialize = False
 
     def execute(self, op: Operation) -> OperationResult:
         op = as_operation(op)
@@ -98,6 +102,19 @@ class BaseSUT:
     def close(self) -> None:
         """In-process SUTs hold no external resources."""
 
+    # -- oracle ------------------------------------------------------------
+
+    def snapshot(self) -> dict[str, list]:
+        """Canonical whole-graph snapshot (see
+        :mod:`repro.validation.snapshot`)."""
+        raise NotImplementedError
+
+    def digest(self) -> str:
+        """Final-state digest: byte-comparable across every SUT."""
+        from ..validation.snapshot import snapshot_digest
+
+        return snapshot_digest(self.snapshot())
+
 
 class StoreSUT(BaseSUT):
     """The MVCC property-graph store (native-API implementation)."""
@@ -131,11 +148,18 @@ class StoreSUT(BaseSUT):
     def _update(self, operation: UpdateOperation) -> None:
         execute_update(self.store, operation)
 
+    def snapshot(self) -> dict[str, list]:
+        from ..validation.snapshot import snapshot_store
+
+        return snapshot_store(self.store)
+
 
 class EngineSUT(BaseSUT):
     """The relational engine (explicit-plan implementation)."""
 
     name = "relational-engine"
+    #: The catalog mutates bare lists: no internal concurrency control.
+    serialize = True
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
@@ -161,3 +185,43 @@ class EngineSUT(BaseSUT):
 
     def _update(self, operation: UpdateOperation) -> None:
         engine_queries.execute_engine_update(self.catalog, operation)
+
+    def snapshot(self) -> dict[str, list]:
+        from ..validation.snapshot import snapshot_catalog
+
+        return snapshot_catalog(self.catalog)
+
+
+def load_sut(kind: str, bulk, *, shards: int = 0, remote: str | None = None,
+             **shard_options) -> SystemUnderTest:
+    """The SUT a ``--sut``/``--shards``/``--remote`` combination names.
+
+    ``kind`` is ``"store"``, ``"engine"`` or ``"sharded"`` (the store
+    across ``shards or 2`` workers, the label golden checks and replay
+    bundles persist).  ``remote`` (``host:port``) connects to a ``repro
+    serve`` instance, which owns the bulk-loaded state; ``shards`` > 0
+    partitions the store across worker processes, configured by
+    ``shard_options`` (:meth:`ShardedStoreSUT.for_network`).
+    """
+    if kind == "sharded":
+        kind, shards = "store", shards or 2
+    if kind not in ("store", "engine"):
+        raise BenchmarkError(f"unknown SUT {kind!r}")
+    if shards > 0 and remote is not None:
+        raise BenchmarkError(
+            "--shards spawns the sharded SUT in-process; start the "
+            "server with --shards instead of combining it with --remote")
+    if shards > 0 and kind != "store":
+        raise BenchmarkError(
+            "--shards partitions the graph store; use --sut store")
+    if remote is not None:
+        from ..net.client import RemoteConnector
+
+        return RemoteConnector.parse(remote)
+    if shards > 0:
+        from ..shard import ShardedStoreSUT
+
+        return ShardedStoreSUT.for_network(bulk, shards, **shard_options)
+    if kind == "store":
+        return StoreSUT.for_network(bulk)
+    return EngineSUT.for_network(bulk)

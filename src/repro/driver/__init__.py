@@ -15,8 +15,8 @@ Components:
 * :mod:`repro.driver.clock` — simulation-to-real-time mapping and the
   acceleration factor (the benchmark's headline metric);
 * :mod:`repro.driver.connectors` — the system-under-test interface,
-  including the paper's sleeping dummy connector (Table 5) and the graph
-  store connector;
+  including the paper's sleeping dummy connector (Table 5) and the
+  adapter for any unified-API SUT;
 * :mod:`repro.driver.scheduler` — multi-threaded partitioned execution
   (Figure 8's dependent-execution loop);
 * :mod:`repro.driver.metrics` — latency/throughput recording, percentile
@@ -24,13 +24,7 @@ Components:
 """
 
 from .clock import AccelerationClock, AS_FAST_AS_POSSIBLE
-from .connectors import (
-    Connector,
-    RecordingConnector,
-    SleepingConnector,
-    StoreConnector,
-    SUTConnector,
-)
+from .connectors import RecordingConnector, SleepingConnector, SUTConnector
 from .dependency import GlobalDependencyService, LocalDependencyService
 from .metrics import DriverMetrics, LatencyRecorder
 from .modes import ExecutionMode
@@ -48,7 +42,6 @@ __all__ = [
     "AccelerationClock",
     "CircuitBreaker",
     "CircuitOpenError",
-    "Connector",
     "DegradePolicy",
     "DriverConfig",
     "DriverMetrics",
@@ -61,7 +54,6 @@ __all__ = [
     "RetryPolicy",
     "SUTConnector",
     "SleepingConnector",
-    "StoreConnector",
     "WorkloadDriver",
     "default_is_transient",
 ]

@@ -2,12 +2,12 @@
 
 The driver is SUT-agnostic: it hands each
 :class:`~repro.datagen.update_stream.UpdateOperation` (or read operation)
-to a connector.  Three implementations:
+to a connector.  Implementations:
 
 * :class:`SleepingConnector` — the paper's "dummy database connector that,
   rather than executing transactions against a database, simply sleeps for
   a configured duration" (Table 5 driver-scalability experiments);
-* :class:`StoreConnector` — executes updates against the MVCC graph store;
+* :class:`SUTConnector` — adapts any unified-API SUT;
 * :class:`RecordingConnector` — records the execution order and T_GC at
   execution time, used by the dependency-correctness tests;
 * :class:`DifferentialConnector` — drives two SUTs in lockstep, applying
@@ -19,14 +19,7 @@ from __future__ import annotations
 import threading
 import time
 
-from ..core.connector import ConnectorProtocol
 from ..datagen.update_stream import UpdateOperation
-from ..queries.updates import execute_update
-from ..store.graph import GraphStore, IsolationLevel
-
-#: Back-compat alias for the historical driver-local protocol; the
-#: canonical contract now lives in :mod:`repro.core.connector`.
-Connector = ConnectorProtocol
 
 
 def _close_quietly(target) -> None:
@@ -60,41 +53,22 @@ class SleepingConnector:
         pass
 
 
-class StoreConnector:
-    """Applies update operations to the graph store transactionally."""
-
-    supports_reads = False
-    is_remote = False
-
-    def __init__(self, store: GraphStore,
-                 isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
-                 ) -> None:
-        self.store = store
-        self.isolation = isolation
-
-    def execute(self, operation: UpdateOperation) -> None:
-        execute_update(self.store, operation, self.isolation)
-
-    def close(self) -> None:
-        pass
-
-
 class SUTConnector:
     """Adapts any unified-API SUT (``execute(op) -> OperationResult``)
     to the driver's connector protocol.
 
-    ``serialize=True`` funnels all calls through one lock — required
-    for SUTs without internal concurrency control (the relational
-    engine's catalog mutates bare lists), harmless for one-partition
-    runs.
+    A SUT whose ``serialize`` attribute is true gets all calls funneled
+    through one lock — required for SUTs without internal concurrency
+    control (the relational engine's catalog mutates bare lists).
     """
 
     supports_reads = True
 
-    def __init__(self, sut, serialize: bool = False) -> None:
+    def __init__(self, sut) -> None:
         self.sut = sut
         self.is_remote = bool(getattr(sut, "is_remote", False))
-        self._lock = threading.Lock() if serialize else None
+        self._lock = threading.Lock() \
+            if getattr(sut, "serialize", False) else None
 
     def execute(self, operation) -> None:
         from ..core.operation import as_operation  # import-cycle free

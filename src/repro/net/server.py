@@ -61,9 +61,6 @@ class ServerConfig:
     queue_size: int = 64
     #: Retry hint (seconds) sent with busy rejections.
     retry_after: float = 0.05
-    #: Funnel execution through one lock — required for SUTs without
-    #: internal concurrency control (the relational engine's catalog).
-    serialize: bool = False
     #: Admission ceiling on estimated traversal rows; None disables.
     max_estimated_rows: float | None = None
     #: Completed op_key outcomes kept for duplicate-replay (FIFO).
@@ -122,20 +119,18 @@ class _Connection:
 class ReproServer:
     """Serves one SUT over the wire protocol."""
 
-    def __init__(self, sut, config: ServerConfig | None = None,
-                 digest_fn=None) -> None:
+    def __init__(self, sut, config: ServerConfig | None = None) -> None:
         self.sut = sut
         self.config = config or ServerConfig()
-        #: Zero-argument callable returning the SUT's state digest
-        #: (admin ``digest`` action); None disables the action.
-        self.digest_fn = digest_fn
         self.admission = AdmissionController.for_sut(
             sut, self.config.max_estimated_rows)
         self._listener: socket.socket | None = None
         self._queue: queue.Queue = queue.Queue(
             maxsize=max(1, self.config.queue_size))
+        # Funnel execution through one lock for SUTs without internal
+        # concurrency control (the relational engine's catalog).
         self._serialize_lock = threading.Lock() \
-            if self.config.serialize else None
+            if getattr(sut, "serialize", False) else None
         self._threads: list[threading.Thread] = []
         self._connections: list[_Connection] = []
         self._conn_lock = threading.Lock()
@@ -390,17 +385,17 @@ class ReproServer:
             return {"v": codec.PROTOCOL_VERSION, "id": request_id,
                     "kind": "admin-result", "value": self.stats()}
         if action == "digest":
-            if self.digest_fn is None:
+            compute = getattr(self.sut, "digest", None)
+            if compute is None:
                 return self._error_response(
-                    request_id, "fatal",
-                    "server has no digest function configured")
-            # Quiesce relative to serialized execution when configured;
+                    request_id, "fatal", "the served SUT has no digest()")
+            # Quiesce relative to serialized execution when the SUT asks;
             # the store SUT's snapshot readers are MVCC-safe anyway.
             if self._serialize_lock is not None:
                 with self._serialize_lock:
-                    digest = self.digest_fn()
+                    digest = compute()
             else:
-                digest = self.digest_fn()
+                digest = compute()
             return {"v": codec.PROTOCOL_VERSION, "id": request_id,
                     "kind": "admin-result", "value": {"digest": digest}}
         return self._error_response(

@@ -456,7 +456,7 @@ class ShardRouter:
         for shard in involved:
             self.call(shard, "commit", op_key, op_key=op_key)
 
-    # -- snapshot / digest -------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
 
     def snapshot(self) -> dict[str, list[dict]]:
         """Canonical whole-graph snapshot, merged across shards."""
@@ -470,11 +470,6 @@ class ShardRouter:
                 rows.extend(part[section])
             merged[section] = sorted(rows, key=canonical_json)
         return merged
-
-    def digest(self) -> str:
-        from ..validation.snapshot import snapshot_digest
-
-        return snapshot_digest(self.snapshot())
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -86,10 +86,6 @@ class ShardedStoreSUT(BaseSUT):
         """Merged canonical whole-graph snapshot (the digest input)."""
         return self.router.snapshot()
 
-    def digest(self) -> str:
-        """Final-state digest; byte-comparable with the single store."""
-        return self.router.digest()
-
     def stats(self) -> dict:
         return self.router.stats()
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.sut import load_sut
 from ..datagen.update_stream import SplitDataset
 from ..driver import (
     DegradePolicy,
@@ -38,7 +39,6 @@ from ..driver import (
 from ..errors import BenchmarkError
 from ..faults import FaultInjectingConnector, FaultPlan, \
     install_conflict_injector
-from .snapshot import snapshot_catalog, snapshot_digest, snapshot_store
 
 #: The default soak policy: generous transient retries, fail fast on
 #: anything fatal (a fatal fault must surface, not degrade silently).
@@ -46,33 +46,14 @@ DEFAULT_POLICY = RetryPolicy(max_retries=8, base_backoff=0.0005,
                              max_backoff=0.05)
 
 
-def _make_sut(split: SplitDataset, sut_name: str):
-    from ..core.sut import EngineSUT, StoreSUT
-
-    if sut_name == "store":
-        return StoreSUT.for_network(split.bulk)
-    if sut_name == "engine":
-        return EngineSUT.for_network(split.bulk)
-    raise BenchmarkError(f"unknown SUT {sut_name!r}")
-
-
-def _digest_of(sut, sut_name: str) -> str:
-    digest = getattr(sut, "digest", None)
-    if callable(digest):
-        return digest()
-    snap = snapshot_store(sut.store) if sut_name == "store" \
-        else snapshot_catalog(sut.catalog)
-    return snapshot_digest(snap)
-
-
 def clean_run_digest(split: SplitDataset, sut_name: str) -> str:
     """Final-state digest of a fault-free in-order replay (the oracle)."""
     from ..core.operation import Update
 
-    sut = _make_sut(split, sut_name)
+    sut = load_sut(sut_name, split.bulk)
     for operation in split.updates:
         sut.execute(Update(operation))
-    return _digest_of(sut, sut_name)
+    return sut.digest()
 
 
 @dataclass
@@ -157,87 +138,60 @@ def run_chaos(split: SplitDataset, sut_name: str, plan: FaultPlan,
     and the digest gate then proves no acknowledged update was lost
     and nothing double-applied across the recoveries.
     """
+    if conflict_rate > 0.0 and (sut_name != "store" or remote is not None
+                                or shards > 0):
+        raise BenchmarkError(
+            "store-level conflict injection needs the in-process store "
+            "SUT (no --remote; with --shards use --shard-abort-rate/"
+            "--shard-delay-rate to fault the workers instead)")
     clean = clean_run_digest(split, sut_name)
-
-    if remote is not None:
-        if conflict_rate > 0.0:
-            raise BenchmarkError(
-                "store-level conflict injection is in-process only; "
-                "run the server with its own conflict settings instead")
-        if shards > 0:
-            raise BenchmarkError(
-                "--shards spawns the sharded SUT in-process; start the "
-                "server with --shards instead of combining it with "
-                "--remote")
-        from ..net.client import RemoteConnector
-
-        sut = RemoteConnector.parse(remote)
-    elif shards > 0:
-        if sut_name != "store":
-            raise BenchmarkError(
-                "the sharded SUT partitions the graph store; use "
-                "--sut store with --shards")
-        if conflict_rate > 0.0:
-            raise BenchmarkError(
-                "store-level conflict injection is in-process only; "
-                "use --shard-abort-rate/--shard-delay-rate to fault "
-                "the workers instead")
-        from ..shard import ShardedStoreSUT
-
-        sut = ShardedStoreSUT.for_network(
-            split.bulk, shards, faults=shard_faults,
-            request_timeout=shard_timeout, wal_dir=shard_wal_dir,
-            max_restarts=shard_max_restarts)
-    else:
-        sut = _make_sut(split, sut_name)
-    inner = SUTConnector(sut, serialize=(remote is None
-                                         and sut_name == "engine"))
-    connector = FaultInjectingConnector(inner, plan, seed=seed,
-                                        operations=split.updates)
-    conflicts = None
-    if conflict_rate > 0.0:
-        if sut_name != "store":
-            raise BenchmarkError(
-                "store-level conflict injection requires the store SUT")
-        conflicts = install_conflict_injector(sut.store, seed,
-                                              conflict_rate)
-    config = DriverConfig(
-        num_partitions=num_partitions, mode=mode,
-        window_millis=window_millis,
-        dependency_wait_timeout=dependency_wait_timeout,
-        resilience=policy or DEFAULT_POLICY, seed=seed)
-    driver = WorkloadDriver(connector, config)
-
-    report = ChaosReport(sut=sut_name, clean_digest=clean,
-                         chaos_digest="",
-                         injected=connector.injected_counts())
+    sut = load_sut(sut_name, split.bulk, shards=shards, remote=remote,
+                   faults=shard_faults, request_timeout=shard_timeout,
+                   wal_dir=shard_wal_dir, max_restarts=shard_max_restarts)
     try:
-        report.driver = driver.run(split.updates)
-    except Exception as exc:
-        report.failure = f"{type(exc).__name__}: {exc}"
-    report.injected = connector.injected_counts()
-    if conflicts is not None:
-        report.injected_conflicts = conflicts.injected
-        sut.store.fault_injector = None  # quiesce for the snapshot read
-    if report.failure is None:
-        # Digest BEFORE stats on sharded runs: the snapshot gather is
-        # supervised, so a worker that died at the very end of the
-        # stream is recovered here first and its counters are readable.
-        report.chaos_digest = sut.digest() if remote is not None \
-            else _digest_of(sut, sut_name)
-    if shards > 0 and shard_faults is not None:
-        stats = sut.stats()
-        fired: dict[str, int] = {}
-        for worker in stats.get("shards", []):
-            for kind, count in worker.get("faults", {}).items():
-                if count:
-                    fired[kind] = fired.get(kind, 0) + count
-        report.injected_shard_faults = fired
-        report.worker_restarts = stats.get(
-            "supervisor", {}).get("restarts", 0)
-    if remote is not None or shards > 0:
+        connector = FaultInjectingConnector(
+            SUTConnector(sut), plan, seed=seed, operations=split.updates)
+        conflicts = None
+        if conflict_rate > 0.0:
+            conflicts = install_conflict_injector(sut.store, seed,
+                                                  conflict_rate)
+        config = DriverConfig(
+            num_partitions=num_partitions, mode=mode,
+            window_millis=window_millis,
+            dependency_wait_timeout=dependency_wait_timeout,
+            resilience=policy or DEFAULT_POLICY, seed=seed)
+        driver = WorkloadDriver(connector, config)
+
+        report = ChaosReport(sut=sut_name, clean_digest=clean,
+                             chaos_digest="",
+                             injected=connector.injected_counts())
+        try:
+            report.driver = driver.run(split.updates)
+        except Exception as exc:
+            report.failure = f"{type(exc).__name__}: {exc}"
+        report.injected = connector.injected_counts()
+        if conflicts is not None:
+            report.injected_conflicts = conflicts.injected
+            sut.store.fault_injector = None  # quiesce for the snapshot
+        if report.failure is None:
+            # Digest BEFORE stats on sharded runs: the snapshot gather
+            # is supervised, so a worker that died at the very end of
+            # the stream is recovered here first and its counters are
+            # readable.
+            report.chaos_digest = sut.digest()
+        if shards > 0 and shard_faults is not None:
+            stats = sut.stats()
+            fired: dict[str, int] = {}
+            for worker in stats.get("shards", []):
+                for kind, count in worker.get("faults", {}).items():
+                    if count:
+                        fired[kind] = fired.get(kind, 0) + count
+            report.injected_shard_faults = fired
+            report.worker_restarts = stats.get(
+                "supervisor", {}).get("restarts", 0)
+        return report
+    finally:
         sut.close()
-    return report
 
 
 def chaos_canary(split: SplitDataset, sut_name: str, plan: FaultPlan,

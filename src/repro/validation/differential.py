@@ -17,6 +17,7 @@ reproduced (and shrunk) from nothing but seeds and indices.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from ..curation.curator import CuratedWorkloadParams
 from ..datagen.update_stream import SplitDataset, UpdateKind, UpdateOperation
@@ -176,13 +177,14 @@ def run_differential(split: SplitDataset, params: CuratedWorkloadParams,
     ``left_factory`` / ``right_factory`` build the two systems from the
     bulk network (default: graph store vs relational engine).  Any pair
     of unified-API SUTs works — the sharded-vs-single digest-invariance
-    oracle passes ``ShardedStoreSUT.for_network`` as one side — and
-    SUTs holding external resources are closed on the way out.
+    oracle passes ``partial(load_sut, "store", shards=N)`` as one
+    side — and SUTs holding external resources are closed on the way
+    out.
     """
-    from ..core.sut import EngineSUT, StoreSUT
+    from ..core.sut import load_sut
 
-    left_factory = left_factory or StoreSUT.for_network
-    right_factory = right_factory or EngineSUT.for_network
+    left_factory = left_factory or partial(load_sut, "store")
+    right_factory = right_factory or partial(load_sut, "engine")
     left_sut = left_factory(split.bulk)
     try:
         right_sut = right_factory(split.bulk)
@@ -213,7 +215,6 @@ def _run_differential(split, params, left_sut, right_sut, *,
                       shorts_per_batch, snapshot_every, max_mismatches,
                       ) -> tuple[DifferentialReport, ReplayBundle | None]:
     from ..core.operation import ComplexRead, ShortRead, Update
-    from .snapshot import sut_snapshot
 
     plan = build_plan(split, params, batch_size=batch_size,
                       reads_per_batch=reads_per_batch,
@@ -267,8 +268,8 @@ def _run_differential(split, params, left_sut, right_sut, *,
                                     entity=step.entity.as_json()),
                        diff=diff_results(left, right))
         else:
-            left_snap = sut_snapshot(left_sut)
-            right_snap = sut_snapshot(right_sut)
+            left_snap = left_sut.snapshot()
+            right_snap = right_sut.snapshot()
             report.snapshots_checked += 1
             sections = diff_snapshots(left_snap, right_snap)
             if sections:

@@ -41,7 +41,6 @@ from .canonical import (
 )
 from .differential import build_plan
 from .replay import FailingCheck, ReplayBundle, ShrinkResult, shrink
-from .snapshot import snapshot_digest, snapshot_store, sut_snapshot
 
 GOLDEN_FORMAT = "snb-golden/1"
 
@@ -116,9 +115,7 @@ def create_golden(path: str, persons: int = 80, seed: int = 7,
                       "entity": step.entity.as_json(),
                       "expect": canonicalize(value)})
             else:
-                emit({"op": "checkpoint",
-                      "digest": snapshot_digest(snapshot_store(
-                          sut.store))})
+                emit({"op": "checkpoint", "digest": sut.digest()})
             records += 1
     return records
 
@@ -185,7 +182,7 @@ def check_golden(path: str, sut_name: str = "store",
     byte-for-byte faithful, and the shard-router canary (which drops a
     shard from scatter-gathers) must make this check FAIL.
     """
-    from ..core.sut import EngineSUT, StoreSUT
+    from ..core.sut import load_sut
 
     with open(path, encoding="utf-8") as handle:
         lines = [json.loads(line) for line in handle if line.strip()]
@@ -194,17 +191,10 @@ def check_golden(path: str, sut_name: str = "store",
             f"{path}: not a {GOLDEN_FORMAT} golden dataset")
     header, records = lines[0], lines[1:]
 
+    if sut_name != "sharded":
+        shards = 0  # ``shards`` sizes the sharded replay only
     split = _regenerate(header, jobs=jobs)
-    if sut_name == "store":
-        sut = StoreSUT.for_network(split.bulk)
-    elif sut_name == "engine":
-        sut = EngineSUT.for_network(split.bulk)
-    elif sut_name == "sharded":
-        from ..shard import ShardedStoreSUT
-
-        sut = ShardedStoreSUT.for_network(split.bulk, shards)
-    else:
-        raise BenchmarkError(f"unknown SUT {sut_name!r}")
+    sut = load_sut(sut_name, split.bulk, shards=shards)
 
     report = GoldenCheckReport(sut=sut_name)
     applied: list[int] = []
@@ -213,7 +203,7 @@ def check_golden(path: str, sut_name: str = "store",
                         failing: FailingCheck,
                         diff: ResultDiff | None = None,
                         detail: str = "") -> None:
-        if sut_name == "sharded":
+        if shards:
             failing = dc_replace(failing, shards=shards)
         report.mismatches.append(GoldenMismatch(
             record=line_no, label=label, params=params, diff=diff,
@@ -229,9 +219,7 @@ def check_golden(path: str, sut_name: str = "store",
         _replay_golden(records, split, sut, sut_name, report, applied,
                        record_mismatch, max_mismatches, path)
     finally:
-        close = getattr(sut, "close", None)
-        if callable(close):
-            close()
+        sut.close()
 
     if report.bundle is not None and shrink_on_mismatch \
             and report.bundle.failing.action != "checkpoint":
@@ -297,7 +285,7 @@ def _replay_golden(records, split, sut, sut_name, report, applied,
                                  expected=record["expect"]),
                     diff=diff_results(record["expect"], actual))
         elif op_kind == "checkpoint":
-            actual = snapshot_digest(sut_snapshot(sut))
+            actual = sut.digest()
             report.checkpoints_checked += 1
             if actual != record["digest"]:
                 record_mismatch(

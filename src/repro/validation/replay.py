@@ -114,24 +114,14 @@ class ReplayBundle:
 # ---------------------------------------------------------------------------
 
 def _build_suts(split: SplitDataset, failing: FailingCheck):
-    """Fresh (store-side SUT, engine SUT) pair — either may be None
-    when the failing check replays against a recorded expectation.  A
-    ``"sharded"`` check spawns the multi-process store in the store
-    slot (it *is* a store, just partitioned)."""
-    from ..core.sut import EngineSUT, StoreSUT
+    """Fresh SUTs for one replay: store then engine in differential
+    mode, else just the one the failing check names."""
+    from ..core.sut import load_sut
 
-    if failing.sut == "sharded":
-        from ..shard import ShardedStoreSUT
-
-        store = ShardedStoreSUT.for_network(split.bulk,
-                                            failing.shards or 2)
-    elif failing.sut in (None, "store"):
-        store = StoreSUT.for_network(split.bulk)
-    else:
-        store = None
-    engine = EngineSUT.for_network(split.bulk) \
-        if failing.sut in (None, "engine") else None
-    return store, engine
+    if failing.sut is None:
+        return [load_sut("store", split.bulk),
+                load_sut("engine", split.bulk)]
+    return [load_sut(failing.sut, split.bulk, shards=failing.shards)]
 
 
 def _check_op(failing: FailingCheck):
@@ -158,22 +148,20 @@ def run_check(split: SplitDataset, update_indices: list[int],
     digest) against ``failing.expected``.
     """
     from ..core.operation import Update
-    from .snapshot import diff_snapshots, snapshot_digest, sut_snapshot
+    from .snapshot import diff_snapshots, snapshot_digest
 
-    store, engine = _build_suts(split, failing)
+    suts = _build_suts(split, failing)
     try:
         updates = split.updates
         for index in update_indices:
             op = Update(updates[index])
-            if store is not None:
-                store.execute(op)
-            if engine is not None:
-                engine.execute(op)
+            for sut in suts:
+                sut.execute(op)
 
         if failing.action == "checkpoint":
-            left = sut_snapshot(store if store is not None else engine)
+            left = suts[0].snapshot()
             if failing.sut is None:
-                right = sut_snapshot(engine)
+                right = suts[1].snapshot()
                 sections = diff_snapshots(left, right)
                 if not sections:
                     return None
@@ -194,20 +182,17 @@ def run_check(split: SplitDataset, update_indices: list[int],
 
         op = _check_op(failing)
         if failing.sut is None:
-            left = read_outcome(store, op)
-            right = read_outcome(engine, op)
+            left = read_outcome(suts[0], op)
+            right = read_outcome(suts[1], op)
         else:
-            sut = engine if failing.sut == "engine" else store
             left = failing.expected
-            right = read_outcome(sut, op)
+            right = read_outcome(suts[0], op)
         if left == right:
             return None
         return diff_results(left, right)
     finally:
-        for sut in (store, engine):
-            close = getattr(sut, "close", None)
-            if callable(close):
-                close()
+        for sut in suts:
+            sut.close()
 
 
 def reproduce(bundle: ReplayBundle,

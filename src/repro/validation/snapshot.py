@@ -154,27 +154,6 @@ def snapshot_digest(snapshot: dict[str, list]) -> str:
     return digest(snapshot)
 
 
-def sut_snapshot(sut) -> dict[str, list]:
-    """Canonical snapshot of any SUT, dispatching on what it exposes.
-
-    A SUT owning its own snapshot protocol (the sharded store, whose
-    state lives in worker processes) provides ``snapshot()``; the
-    in-process SUTs expose their backing ``store`` / ``catalog``.
-    """
-    snapshot = getattr(sut, "snapshot", None)
-    if callable(snapshot):
-        return snapshot()
-    store = getattr(sut, "store", None)
-    if store is not None:
-        return snapshot_store(store)
-    catalog = getattr(sut, "catalog", None)
-    if catalog is not None:
-        return snapshot_catalog(catalog)
-    raise TypeError(
-        f"cannot snapshot {type(sut).__name__}: no snapshot()/store/"
-        f"catalog")
-
-
 @dataclass
 class SectionDiff:
     """Disagreement within one snapshot section."""

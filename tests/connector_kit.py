@@ -262,13 +262,6 @@ def _sleeping() -> Live:
     return Live(SleepingConnector(0.0))
 
 
-def _store() -> Live:
-    from repro.driver.connectors import StoreConnector
-    from repro.store.graph import GraphStore
-
-    return Live(StoreConnector(GraphStore()))
-
-
 def _sut() -> Live:
     from repro.driver.connectors import SUTConnector
 
@@ -348,7 +341,6 @@ def _remote() -> Live:
 
 DEFAULT_CASES = (
     ConnectorCase("SleepingConnector", _sleeping, supports_reads=False),
-    ConnectorCase("StoreConnector", _store, supports_reads=False),
     ConnectorCase("SUTConnector", _sut, supports_reads=True),
     ConnectorCase("DifferentialConnector", _differential,
                   supports_reads=True),

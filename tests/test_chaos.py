@@ -91,6 +91,34 @@ class TestChaosSoak:
         assert clean_run_digest(small_split, "store") \
             == clean_run_digest(small_split, "store")
 
+    def test_sut_closed_when_final_digest_raises(self, small_split,
+                                                 monkeypatch):
+        """A dead shard worker can make the final digest raise; the
+        SUT (and with it the worker processes) must still be closed."""
+        from repro.validation import chaos
+
+        class DyingSUT:
+            name = "dying"
+            closed = 0
+
+            def execute(self, op):
+                return None
+
+            def digest(self):
+                raise RuntimeError("worker died")
+
+            def close(self):
+                self.closed += 1
+
+        sut = DyingSUT()
+        monkeypatch.setattr(chaos, "clean_run_digest",
+                            lambda split, sut_name: "clean")
+        monkeypatch.setattr(chaos, "load_sut", lambda *a, **kw: sut)
+        with pytest.raises(RuntimeError, match="worker died"):
+            run_chaos(small_split, "store", SOAK_PLAN, seed=3,
+                      policy=FAST_POLICY, num_partitions=1)
+        assert sut.closed == 1
+
 
 class TestChaosCanary:
     def test_unprotected_run_fails(self, small_split):

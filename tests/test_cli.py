@@ -83,6 +83,21 @@ class TestBenchmark:
         assert "relational-engine" in capsys.readouterr().out
 
 
+class TestDeploymentRefusals:
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--sut", "engine", "--shards", "2"],
+        ["benchmark", "--remote", "h:1", "--shards", "2"],
+        ["serve", "--sut", "engine", "--shards", "2"],
+    ])
+    def test_refused_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--persons", "40"])
+        message = excinfo.value.code
+        # A string exit code is printed alone: no traceback.
+        assert isinstance(message, str) and "\n" not in message
+        assert "--shards" in message
+
+
 class TestExplainAndCurate:
     def test_explain(self, capsys):
         code = main(["explain", "--persons", "80", "--seed", "2"])

@@ -15,7 +15,6 @@ import pytest
 from repro.core.connector import ConnectorProtocol
 from repro.core.sut import StoreSUT
 from repro.driver.connectors import (
-    Connector,
     DifferentialConnector,
     RecordingConnector,
     SUTConnector,
@@ -98,11 +97,6 @@ def test_taxonomy_check_is_actually_probed(all_cases):
 
 
 # -- protocol-type assertions (not per-connector) --------------------------
-
-def test_connector_alias_is_the_protocol():
-    # The historical driver-local name still resolves, to the same type.
-    assert Connector is ConnectorProtocol
-
 
 def test_wrappers_inherit_is_remote_from_their_sut():
     assert not SUTConnector(StubSUT()).is_remote

@@ -14,9 +14,6 @@ from repro.validation import (
     build_plan,
     render_differential,
     run_differential,
-    snapshot_catalog,
-    snapshot_digest,
-    snapshot_store,
 )
 from repro.validation.differential import touched_refs
 from repro.workload.mix import build_mixed_stream
@@ -153,5 +150,4 @@ class TestDifferentialConnector:
         report = driver.run(stream)
         assert report.metrics.operations == len(stream)
         assert connector.agreed, connector.disagreements
-        assert snapshot_digest(snapshot_store(store_sut.store)) \
-            == snapshot_digest(snapshot_catalog(engine_sut.catalog))
+        assert store_sut.digest() == engine_sut.digest()

@@ -12,12 +12,7 @@ from repro.core.operation import Update
 from repro.core.sut import EngineSUT, StoreSUT
 from repro.datagen import DatagenConfig, generate
 from repro.datagen.update_stream import partition_updates
-from repro.validation import (
-    diff_snapshots,
-    snapshot_catalog,
-    snapshot_digest,
-    snapshot_store,
-)
+from repro.validation import diff_snapshots, snapshot_digest
 
 #: Updates replayed per property example (speed/coverage trade-off).
 PREFIX = 300
@@ -38,8 +33,8 @@ def test_random_checkpoint_interleavings_agree(small_split, boundaries):
             store.execute(Update(op))
             engine.execute(Update(op))
         cursor = max(cursor, boundary)
-        left = snapshot_store(store.store)
-        right = snapshot_catalog(engine.catalog)
+        left = store.snapshot()
+        right = engine.snapshot()
         assert snapshot_digest(left) == snapshot_digest(right), \
             "\n".join(d.describe("store", "engine")
                       for d in diff_snapshots(left, right))
@@ -55,7 +50,7 @@ def test_partitioned_replay_converges(small_split, num_partitions):
     prefix = small_split.updates[:PREFIX]
     for op in prefix:
         reference.execute(Update(op))
-    expected = snapshot_digest(snapshot_store(reference.store))
+    expected = reference.digest()
 
     partitions = [list(p)
                   for p in partition_updates(prefix, num_partitions)]
@@ -71,8 +66,8 @@ def test_partitioned_replay_converges(small_split, num_partitions):
                 engine.execute(op)
                 cursors[index] += 1
                 remaining -= 1
-    assert snapshot_digest(snapshot_store(store.store)) == expected
-    assert snapshot_digest(snapshot_catalog(engine.catalog)) == expected
+    assert store.digest() == expected
+    assert engine.digest() == expected
 
 
 def test_seed_stability_of_state_digest():
@@ -80,8 +75,7 @@ def test_seed_stability_of_state_digest():
     seed: same seed → same digest, different seed → different digest."""
     def digest_for(seed: int) -> str:
         network = generate(DatagenConfig(num_persons=30, seed=seed))
-        return snapshot_digest(snapshot_store(
-            StoreSUT.for_network(network).store))
+        return StoreSUT.for_network(network).digest()
 
     assert digest_for(5) == digest_for(5)
     assert digest_for(5) != digest_for(6)

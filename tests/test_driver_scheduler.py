@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.sut import StoreSUT
 from repro.driver import (
     DriverConfig,
     ExecutionMode,
     RecordingConnector,
     SleepingConnector,
-    StoreConnector,
+    SUTConnector,
     WorkloadDriver,
 )
 from repro.errors import DriverError
@@ -87,7 +88,7 @@ class TestStateConvergence:
     def test_final_store_state_identical(self, network, split, mode,
                                          partitions):
         store = load_network(split.bulk)
-        driver = WorkloadDriver(StoreConnector(store), DriverConfig(
+        driver = WorkloadDriver(SUTConnector(StoreSUT(store)), DriverConfig(
             num_partitions=partitions, mode=mode))
         driver.run(split.updates)
         with store.transaction() as txn:
@@ -101,7 +102,7 @@ class TestStateConvergence:
     def test_windowed_final_state(self, network, split,
                                   datagen_config):
         store = load_network(split.bulk)
-        driver = WorkloadDriver(StoreConnector(store), DriverConfig(
+        driver = WorkloadDriver(SUTConnector(StoreSUT(store)), DriverConfig(
             num_partitions=4, mode=ExecutionMode.WINDOWED,
             window_millis=datagen_config.t_safe_millis))
         driver.run(split.updates)

@@ -23,7 +23,6 @@ from repro.faults import FaultPlan
 from repro.net import RemoteConnector, ReproServer, ServerConfig
 from repro.store import load_network
 from repro.validation import run_chaos
-from repro.validation.snapshot import snapshot_digest, snapshot_store
 
 from tests.conftest import SMALL_PERSONS, SMALL_SEED
 from tests.test_net_server import SHORT, ScriptedSUT
@@ -32,11 +31,8 @@ from tests.test_net_server import SHORT, ScriptedSUT
 @pytest.fixture()
 def loopback_server(small_split):
     """A wire server over a store bulk-loaded with the small split."""
-    store = load_network(small_split.bulk)
-    server = ReproServer(
-        StoreSUT(store),
-        ServerConfig(workers=4),
-        digest_fn=lambda: snapshot_digest(snapshot_store(store)))
+    server = ReproServer(StoreSUT(load_network(small_split.bulk)),
+                         ServerConfig(workers=4))
     host, port = server.start()
     yield f"{host}:{port}"
     server.shutdown()

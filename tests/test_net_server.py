@@ -454,8 +454,8 @@ def test_digest_action_requires_configuration(server_client):
 
 def test_digest_action_returns_configured_digest():
     sut = ScriptedSUT()
-    server = ReproServer(sut, ServerConfig(),
-                         digest_fn=lambda: "sha256:abc")
+    sut.digest = lambda: "sha256:abc"
+    server = ReproServer(sut, ServerConfig())
     host, port = server.start()
     client = RemoteConnector(host, port, timeout=10.0)
     try:

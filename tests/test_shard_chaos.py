@@ -21,7 +21,6 @@ from repro.faults import FaultPlan
 from repro.shard import ShardedStoreSUT, ShardFaultPlan
 from repro.validation import run_chaos, run_differential
 from repro.validation.canary import canary_bug
-from repro.validation.snapshot import snapshot_digest, snapshot_store
 
 
 def test_worker_abort_soak_converges(small_split):
@@ -95,8 +94,7 @@ def test_shard_canary_breaks_digest_and_recovers(small_split):
     """With shard 0 dropped from scatter-gathers the merged snapshot
     loses that partition's rows; lifting the canary restores the exact
     digest — proving the drop hook cannot leak into real runs."""
-    expected = snapshot_digest(snapshot_store(
-        StoreSUT.for_network(small_split.bulk).store))
+    expected = StoreSUT.for_network(small_split.bulk).digest()
     sut = ShardedStoreSUT.for_network(small_split.bulk, 2)
     try:
         assert sut.digest() == expected

@@ -29,7 +29,6 @@ from repro.shard import (
     owner_of,
     partition_writes,
 )
-from repro.validation import snapshot_digest, snapshot_store
 from repro.validation.canonical import comparable
 
 #: Updates replayed per property example (speed/coverage trade-off).
@@ -40,7 +39,7 @@ def _single_digest(split, prefix: int) -> str:
     sut = StoreSUT.for_network(split.bulk)
     for op in split.updates[:prefix]:
         sut.execute(Update(op))
-    return snapshot_digest(snapshot_store(sut.store))
+    return sut.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +113,7 @@ def test_random_interleavings_digest_equal(small_split, small_params,
             read = ComplexRead(query, binding)
             assert comparable(query, single.execute(read).value) \
                 == comparable(query, sharded.execute(read).value)
-            assert snapshot_digest(snapshot_store(single.store)) \
-                == sharded.digest(), \
+            assert single.digest() == sharded.digest(), \
                 f"digest diverged at update {cursor} " \
                 f"with {num_shards} shards"
     finally:
@@ -161,7 +159,7 @@ def test_forced_cross_shard_friendship(small_split):
 
     single = StoreSUT.for_network(small_split.bulk)
     single.execute(Update(op))
-    expected = snapshot_digest(snapshot_store(single.store))
+    expected = single.digest()
 
     sharded = ShardedStoreSUT.for_network(small_split.bulk, 2)
     try:

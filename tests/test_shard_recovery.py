@@ -40,7 +40,7 @@ from repro.store.wal import (
     read_shard_log,
     replay_shard_log,
 )
-from repro.validation import run_chaos, snapshot_digest, snapshot_store
+from repro.validation import run_chaos
 
 #: Updates replayed per recovery scenario (speed/coverage trade-off).
 PREFIX = 60
@@ -50,7 +50,7 @@ def _single_digest(split, prefix: int) -> str:
     sut = StoreSUT.for_network(split.bulk)
     for op in split.updates[:prefix]:
         sut.execute(Update(op))
-    return snapshot_digest(snapshot_store(sut.store))
+    return sut.digest()
 
 
 def _cross_shard_friendship(split) -> UpdateOperation:
@@ -175,7 +175,7 @@ def test_kill_between_prepare_and_commit_rolls_forward(small_split,
     op = _cross_shard_friendship(small_split)
     single = StoreSUT.for_network(small_split.bulk)
     single.execute(Update(op))
-    expected = snapshot_digest(snapshot_store(single.store))
+    expected = single.digest()
 
     sut = ShardedStoreSUT.for_network(
         small_split.bulk, 2, wal_dir=wal_dir,

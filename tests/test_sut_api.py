@@ -13,7 +13,9 @@ from repro.core import (
     Update,
     as_operation,
 )
+from repro.core.sut import load_sut
 from repro.datagen.update_stream import UpdateOperation
+from repro.errors import BenchmarkError
 from repro.workload.operations import (
     EntityRef,
     ReadOperation,
@@ -119,3 +121,17 @@ def test_execute_accepts_legacy_driver_shapes(sut, curated_params):
     legacy = ReadOperation(query_id=2, params=binding, due_time=0)
     assert sut.execute(legacy).value \
         == sut.execute(ComplexRead(2, binding)).value
+
+
+# -- load_sut refusals -----------------------------------------------------
+
+@pytest.mark.parametrize("kind,options", [
+    ("engine", {"shards": 2}),
+    ("store", {"shards": 2, "remote": "h:1"}),
+    ("oracle", {}),
+], ids=["engine-shards", "remote-shards", "unknown-kind"])
+def test_refused_combinations_raise_before_building(kind, options):
+    # No bulk network: the refusal must come before anything is built
+    # (or any connection is attempted).
+    with pytest.raises(BenchmarkError):
+        load_sut(kind, None, **options)

@@ -6,12 +6,7 @@ from __future__ import annotations
 from repro.core.operation import ShortRead, Update
 from repro.core.sut import EngineSUT, StoreSUT
 from repro.datagen.update_stream import UpdateKind
-from repro.validation import (
-    canonicalize,
-    snapshot_catalog,
-    snapshot_digest,
-    snapshot_store,
-)
+from repro.validation import canonicalize
 from repro.validation.differential import touched_refs
 
 _PERSON_SHORTS = (1, 2, 3)
@@ -46,5 +41,4 @@ class TestUpdateParity:
                         f"S{query_id} on {ref} after {op.kind.name}"
         assert seen == set(UpdateKind), \
             f"stream lacks kinds: {set(UpdateKind) - seen}"
-        assert snapshot_digest(snapshot_store(store.store)) \
-            == snapshot_digest(snapshot_catalog(engine.catalog))
+        assert store.digest() == engine.digest()
