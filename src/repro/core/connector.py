@@ -2,15 +2,9 @@
 
 :class:`ConnectorProtocol` is the formal, runtime-checkable statement
 of what every layer between the driver and a SUT implements: the
-scheduler's retry loop, the fault injector, the differential oracle,
-the remote wire client — all are connectors, all compose.  The
-contract is ``execute`` plus ``close`` plus two capability flags:
-
-* ``supports_reads`` — whether ``execute`` meaningfully runs read
-  operations (the sleeping dummy and the raw store connector are
-  update-only);
-* ``is_remote`` — whether calls leave the process (so failures may be
-  wire failures and timed-out attempts may still execute server-side).
+scheduler's retry loop, the fault injector, the remote wire client,
+every SUT itself — all are connectors, all compose.  The contract is
+``execute`` plus ``close``, nothing else.
 
 :class:`InteractiveConnector` is the full-workload implementation:
 updates pass straight through; complex reads additionally trigger the
@@ -31,7 +25,7 @@ from typing import Protocol, runtime_checkable
 from .. import telemetry
 from ..driver.metrics import LatencyRecorder
 from ..rng import RandomStream
-from ..workload.operations import EntityRef, op_class_name
+from ..workload.operations import EntityRef
 from ..workload.random_walk import (
     RandomWalkConfig,
     extract_entities,
@@ -45,14 +39,8 @@ from .sut import SystemUnderTest
 class ConnectorProtocol(Protocol):
     """What the driver (and every wrapping layer) requires of a connector.
 
-    ``isinstance`` checks member *presence* only; the capability flags
-    are class attributes on every conforming implementation.
+    ``isinstance`` checks member *presence* only.
     """
-
-    #: Whether ``execute`` meaningfully runs read operations.
-    supports_reads: bool
-    #: Whether calls leave the process (wire failures become possible).
-    is_remote: bool
 
     def execute(self, operation) -> object:
         """Run one operation to completion (raising on failure)."""
@@ -66,15 +54,10 @@ class ConnectorProtocol(Protocol):
 class InteractiveConnector:
     """Dispatches driver operations to a system under test."""
 
-    supports_reads = True
-    is_remote = False
-
     def __init__(self, sut: SystemUnderTest,
                  walk: RandomWalkConfig | None = None,
                  seed: int = 0) -> None:
         self.sut = sut
-        # Wrapping a RemoteConnector-as-SUT makes this connector remote.
-        self.is_remote = bool(getattr(sut, "is_remote", False))
         self.walk = walk or RandomWalkConfig()
         self.seed = seed
         #: Short-read latencies, recorded per S-class.
@@ -85,7 +68,7 @@ class InteractiveConnector:
         op = as_operation(operation)
         if telemetry.active:
             with telemetry.span("connector.execute",
-                                operation=op_class_name(op)):
+                                operation=op.op_class):
                 self._dispatch(op)
         else:
             self._dispatch(op)

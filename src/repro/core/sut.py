@@ -16,6 +16,7 @@ over the typed operation union is the only entry point, and — via
 
 from __future__ import annotations
 
+import threading
 from typing import Protocol
 
 from .. import telemetry
@@ -52,29 +53,19 @@ class BaseSUT:
 
     In-process SUTs satisfy the connector contract directly (that is
     what lets :class:`repro.net.client.RemoteConnector` stand in for
-    one): full read support, local, nothing to release on ``close``.
+    one): ``execute`` plus a ``close`` with nothing to release.  A SUT
+    is safe to call from concurrent driver partitions and server
+    workers; one without internal concurrency control serializes
+    itself (:class:`EngineSUT`).
     """
 
     name = "base"
-    supports_reads = True
-    is_remote = False
-    #: Whether concurrent callers (driver partitions, server workers)
-    #: must funnel calls through one lock: True for SUTs without
-    #: internal concurrency control.
-    serialize = False
 
     def execute(self, op: Operation) -> OperationResult:
         op = as_operation(op)
-        if isinstance(op, ComplexRead):
-            label = f"query.Q{op.query_id}"
-        elif isinstance(op, ShortRead):
-            label = f"query.S{op.query_id}"
-        elif isinstance(op, Update):
-            label = f"update.{op.operation.kind.name}"
-        else:  # pragma: no cover - as_operation already rejects these
-            raise TypeError(f"unsupported operation {type(op).__name__}")
         if telemetry.active:
-            with telemetry.span(label, sut=self.name):
+            prefix = "update." if isinstance(op, Update) else "query."
+            with telemetry.span(prefix + op.op_class, sut=self.name):
                 value = self._run(op)
         else:
             value = self._run(op)
@@ -158,11 +149,12 @@ class EngineSUT(BaseSUT):
     """The relational engine (explicit-plan implementation)."""
 
     name = "relational-engine"
-    #: The catalog mutates bare lists: no internal concurrency control.
-    serialize = True
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
+        #: The catalog mutates bare lists (no internal concurrency
+        #: control): every operation and snapshot holds this lock.
+        self._lock = threading.Lock()
 
     @classmethod
     def for_network(cls, network) -> "EngineSUT":
@@ -170,6 +162,10 @@ class EngineSUT(BaseSUT):
         from ..engine.catalog import load_catalog
 
         return cls(load_catalog(network))
+
+    def _run(self, op: Operation):
+        with self._lock:
+            return super()._run(op)
 
     def _complex(self, query_id: int, params: object):
         run = engine_queries.ENGINE_COMPLEX.get(query_id)
@@ -189,7 +185,8 @@ class EngineSUT(BaseSUT):
     def snapshot(self) -> dict[str, list]:
         from ..validation.snapshot import snapshot_catalog
 
-        return snapshot_catalog(self.catalog)
+        with self._lock:
+            return snapshot_catalog(self.catalog)
 
 
 def load_sut(kind: str, bulk, *, shards: int = 0, remote: str | None = None,

@@ -95,6 +95,10 @@ class UpdateOperation:
     def is_dependent(self) -> bool:
         return self.kind in DEPENDENT_KINDS
 
+    @property
+    def op_class(self) -> str:
+        return self.kind.name
+
 
 @dataclass
 class SplitDataset:

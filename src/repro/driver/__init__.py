@@ -14,9 +14,9 @@ Components:
   (T_SAFE-sized out-of-order windows);
 * :mod:`repro.driver.clock` — simulation-to-real-time mapping and the
   acceleration factor (the benchmark's headline metric);
-* :mod:`repro.driver.connectors` — the system-under-test interface,
-  including the paper's sleeping dummy connector (Table 5) and the
-  adapter for any unified-API SUT;
+* :mod:`repro.driver.connectors` — the paper's sleeping dummy
+  connector (Table 5) and the recording connector of the dependency
+  tests (any SUT is itself a connector);
 * :mod:`repro.driver.scheduler` — multi-threaded partitioned execution
   (Figure 8's dependent-execution loop);
 * :mod:`repro.driver.metrics` — latency/throughput recording, percentile
@@ -24,7 +24,7 @@ Components:
 """
 
 from .clock import AccelerationClock, AS_FAST_AS_POSSIBLE
-from .connectors import RecordingConnector, SleepingConnector, SUTConnector
+from .connectors import RecordingConnector, SleepingConnector
 from .dependency import GlobalDependencyService, LocalDependencyService
 from .metrics import DriverMetrics, LatencyRecorder
 from .modes import ExecutionMode
@@ -52,7 +52,6 @@ __all__ = [
     "LocalDependencyService",
     "RecordingConnector",
     "RetryPolicy",
-    "SUTConnector",
     "SleepingConnector",
     "WorkloadDriver",
     "default_is_transient",

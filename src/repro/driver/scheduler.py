@@ -31,7 +31,6 @@ from .. import telemetry
 from ..datagen.update_stream import partition_updates
 from ..errors import DriverError, OperationTimeoutError
 from ..rng import RandomStream
-from ..workload.operations import op_class_name as _op_class_name
 from .clock import AS_FAST_AS_POSSIBLE, AccelerationClock
 from .dependency import GlobalDependencyService, LocalDependencyService
 from .metrics import DriverMetrics, LatencyRecorder
@@ -71,27 +70,11 @@ class DriverConfig:
     #: is inherent; what "cannot sustain the acceleration factor" means
     #: is falling behind by more than this slack.
     lateness_tolerance: float = 1.0
-    #: Transient connector failures (e.g. a deadlock-victim abort in a
-    #: real SUT) are retried this many times before the run fails.
-    #: Shorthand for the same field of :class:`RetryPolicy`; ignored
-    #: when ``resilience`` is supplied.
-    max_retries: int = 0
-    #: Base backoff seconds between retries (shorthand for
-    #: ``RetryPolicy.base_backoff``; ignored when ``resilience`` set).
-    retry_backoff: float = 0.01
-    #: Full resilience policy (retry classification, decorrelated-jitter
-    #: backoff, watchdog timeouts, degradation, failure budget).  None
-    #: derives a fail-fast policy from the two shorthand fields above.
-    resilience: RetryPolicy | None = None
+    #: Resilience policy (retry classification, decorrelated-jitter
+    #: backoff, watchdog timeouts, degradation, failure budget).  The
+    #: default fails fast: transient failures are not retried.
+    resilience: RetryPolicy = field(default_factory=RetryPolicy)
     seed: int = 0
-
-    def effective_policy(self) -> RetryPolicy:
-        """The resilience policy this run executes under."""
-        if self.resilience is not None:
-            return self.resilience
-        return RetryPolicy(max_retries=self.max_retries,
-                           base_backoff=self.retry_backoff,
-                           max_backoff=max(self.retry_backoff, 1.0))
 
 
 @dataclass
@@ -127,7 +110,7 @@ class WorkloadDriver:
         self.config = config
         self.gds = GlobalDependencyService()
         self.recorder = LatencyRecorder()
-        self._policy = config.effective_policy()
+        self._policy = config.resilience
         self._timeouts = 0
         #: Guards the dependency-timeout counter only.
         self._timeout_lock = threading.Lock()
@@ -392,7 +375,7 @@ class WorkloadDriver:
                  partition: int) -> None:
         started = time.monotonic()
         if telemetry.active:
-            with telemetry.span("op." + _op_class_name(op),
+            with telemetry.span("op." + op.op_class,
                                 due_time=op.due_time,
                                 lateness_seconds=lateness) as sp:
                 executed = self._execute_with_retries(op, partition)
@@ -402,7 +385,7 @@ class WorkloadDriver:
         if not executed:
             return
         latency = time.monotonic() - started
-        self.recorder.record(_op_class_name(op), latency,
+        self.recorder.record(op.op_class, latency,
                              started - run_start)
         with self._stats_lock:
             self._op_count += 1
@@ -454,7 +437,7 @@ class WorkloadDriver:
                                   and time.monotonic() >= op_deadline)
                 if attempt > policy.max_retries or budget_expired:
                     return self._exhausted(op, partition, exc)
-                op_class = _op_class_name(op)
+                op_class = op.op_class
                 with self._stats_lock:
                     self._retries += 1
                     self._retries_by_class[op_class] = \
@@ -467,7 +450,7 @@ class WorkloadDriver:
         """Out of retries (or non-transient): degrade or fail fast."""
         if self._policy.on_exhaustion is not DegradePolicy.DEGRADE:
             raise exc
-        op_class = _op_class_name(op)
+        op_class = op.op_class
         with self._stats_lock:
             self._skipped += 1
             self._skipped_by_class[op_class] = \
@@ -482,8 +465,3 @@ class WorkloadDriver:
                 f"last failure: {type(exc).__name__}: {exc}") from exc
         return False
 
-
-# _op_class_name is the shared repro.workload.operations.op_class_name
-# helper (imported above), so the recorder's per-class labels — and the
-# driver.latency_ms.* gauge names the telemetry bridge derives from them
-# — always match the connector's span labels.

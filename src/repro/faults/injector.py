@@ -1,9 +1,8 @@
 """The fault-injecting connector wrapper.
 
-:class:`FaultInjectingConnector` composes with *any* connector — the
-store connector, the sleeping dummy, the differential lockstep
-connector — and perturbs calls according to a seeded
-:class:`~repro.faults.plan.FaultPlan`.  Faults are decided per
+:class:`FaultInjectingConnector` composes with *any* connector — a SUT
+used directly, the sleeping dummy, the wire client — and perturbs
+calls according to a seeded :class:`~repro.faults.plan.FaultPlan`.  Faults are decided per
 *operation identity*, not per call, so:
 
 * a transient abort fails the first ``attempts`` calls for that
@@ -22,7 +21,6 @@ import time
 
 from ..driver.resilience import raise_if_abandoned
 from ..errors import FatalSUTError, TransientError
-from ..workload.operations import op_class_name
 from .plan import FaultKind, FaultPlan, FaultSpec
 
 
@@ -47,10 +45,6 @@ class FaultInjectingConnector:
     def __init__(self, inner, plan: FaultPlan, seed: int = 0,
                  operations=None) -> None:
         self.inner = inner
-        # Capability flags mirror the wrapped connector: injecting
-        # faults changes failure behavior, not what executes where.
-        self.supports_reads = bool(getattr(inner, "supports_reads", True))
-        self.is_remote = bool(getattr(inner, "is_remote", False))
         self.plan = plan
         self.seed = seed
         self._index_of = ({id(op): i for i, op in enumerate(operations)}
@@ -86,7 +80,7 @@ class FaultInjectingConnector:
             if index is not None:
                 return index
         due = getattr(operation, "due_time", 0)
-        return (op_class_name(operation), due)
+        return (operation.op_class, due)
 
     def _count(self, kind: FaultKind, op_class: str) -> None:
         with self._lock:
@@ -95,7 +89,7 @@ class FaultInjectingConnector:
                 self._injected_by_class.get(op_class, 0) + 1
 
     def execute(self, operation) -> None:
-        op_class = op_class_name(operation)
+        op_class = operation.op_class
         key = self._key(operation)
         spec: FaultSpec | None = self.plan.decide(self.seed, key, op_class)
         if spec is None:

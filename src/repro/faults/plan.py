@@ -80,7 +80,7 @@ class ClassRates:
 class FaultPlan:
     """A reproducible description of every fault a run may see."""
 
-    #: op-class name (``op_class_name``) or ``"*"`` → rates.
+    #: op-class name (``op.op_class``) or ``"*"`` → rates.
     rates: dict = field(default_factory=dict)
     #: stable operation key → explicit fault (overrides rates).
     #: Keys are stream indices (int) or ``(op_class, due_time)`` pairs,

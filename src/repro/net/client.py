@@ -217,10 +217,6 @@ def _connect_with_retry(host: str, port: int,
 class RemoteConnector:
     """Connector/SUT hybrid executing operations over the wire."""
 
-    #: Connector capability flags (core.connector.ConnectorProtocol).
-    supports_reads = True
-    is_remote = True
-
     def __init__(self, host: str, port: int, *,
                  pool_size: int = 2,
                  timeout: float | None = 30.0,

@@ -127,10 +127,6 @@ class ReproServer:
         self._listener: socket.socket | None = None
         self._queue: queue.Queue = queue.Queue(
             maxsize=max(1, self.config.queue_size))
-        # Funnel execution through one lock for SUTs without internal
-        # concurrency control (the relational engine's catalog).
-        self._serialize_lock = threading.Lock() \
-            if getattr(sut, "serialize", False) else None
         self._threads: list[threading.Thread] = []
         self._connections: list[_Connection] = []
         self._conn_lock = threading.Lock()
@@ -389,15 +385,8 @@ class ReproServer:
             if compute is None:
                 return self._error_response(
                     request_id, "fatal", "the served SUT has no digest()")
-            # Quiesce relative to serialized execution when the SUT asks;
-            # the store SUT's snapshot readers are MVCC-safe anyway.
-            if self._serialize_lock is not None:
-                with self._serialize_lock:
-                    digest = compute()
-            else:
-                digest = compute()
             return {"v": codec.PROTOCOL_VERSION, "id": request_id,
-                    "kind": "admin-result", "value": {"digest": digest}}
+                    "kind": "admin-result", "value": {"digest": compute()}}
         return self._error_response(
             request_id, "fatal", f"unknown admin action {action!r}")
 
@@ -510,9 +499,9 @@ class ReproServer:
             if telemetry.active:
                 with telemetry.span("server.execute",
                                     operation=op.op_class):
-                    result = self._execute_inner(op)
+                    result = self.sut.execute(op)
             else:
-                result = self._execute_inner(op)
+                result = self.sut.execute(op)
         except TransientError as exc:
             self._count("errors")
             return self._error_response(
@@ -535,9 +524,3 @@ class ReproServer:
                 None, "fatal", f"unencodable result: {exc}")
         return {"v": codec.PROTOCOL_VERSION, "id": None,
                 "kind": "result", "result": encoded}
-
-    def _execute_inner(self, op):
-        if self._serialize_lock is not None:
-            with self._serialize_lock:
-                return self.sut.execute(op)
-        return self.sut.execute(op)

@@ -4,8 +4,8 @@
 plugs into everything that consumes the unified SUT API unchanged: the
 interactive benchmark, the differential and golden validators, the
 chaos harness's fault-injecting connector, and — because it also
-satisfies the connector contract (``supports_reads``/``is_remote``/
-``execute``/``close``) — the wire server under ``repro serve``.
+satisfies the connector contract (``execute``/``close``) — the wire
+server under ``repro serve``.
 
 Reads run the ordinary query registry against the router's
 :class:`~repro.shard.router.ShardedTransaction`; updates go through
@@ -29,14 +29,6 @@ class ShardedStoreSUT(BaseSUT):
     """N worker processes + a router, behind the one-SUT interface."""
 
     name = "sharded-store"
-
-    #: With a WAL directory the sharded store survives worker crashes:
-    #: the connector-conformance kit's crash-recovery case keys off
-    #: this flag (it is a property of the *connector instance* — a
-    #: WAL-less instance reports False).
-    @property
-    def supports_recovery(self) -> bool:
-        return self.router.supervisor is not None
 
     def __init__(self, router: ShardRouter) -> None:
         self.router = router

@@ -33,7 +33,6 @@ from ..driver import (
     DriverReport,
     ExecutionMode,
     RetryPolicy,
-    SUTConnector,
     WorkloadDriver,
 )
 from ..errors import BenchmarkError
@@ -109,11 +108,11 @@ def run_chaos(split: SplitDataset, sut_name: str, plan: FaultPlan,
               shard_max_restarts: int = 8) -> ChaosReport:
     """Drive the update stream under faults; compare final digests.
 
-    The fault-injecting connector wraps a unified-API adapter over the
-    chosen SUT (serialized for the engine, whose catalog has no
-    internal concurrency control).  ``conflict_rate`` additionally
-    installs the store-level :class:`ConflictInjector` so real MVCC
-    aborts join the mix (store SUT only).
+    The fault-injecting connector wraps the chosen SUT directly (the
+    engine serializes itself: its catalog has no internal concurrency
+    control).  ``conflict_rate`` additionally installs the store-level
+    :class:`ConflictInjector` so real MVCC aborts join the mix (store
+    SUT only).
 
     ``remote`` (``host:port`` of a ``repro serve`` instance loaded with
     the same split) swaps the in-process SUT for the wire client: the
@@ -150,7 +149,7 @@ def run_chaos(split: SplitDataset, sut_name: str, plan: FaultPlan,
                    wal_dir=shard_wal_dir, max_restarts=shard_max_restarts)
     try:
         connector = FaultInjectingConnector(
-            SUTConnector(sut), plan, seed=seed, operations=split.updates)
+            sut, plan, seed=seed, operations=split.updates)
         conflicts = None
         if conflict_rate > 0.0:
             conflicts = install_conflict_injector(sut.store, seed,

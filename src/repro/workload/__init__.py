@@ -8,7 +8,7 @@ frequencies (one execution of query *i* per ``f_i`` update operations).
 """
 
 from .mix import TABLE4_FREQUENCIES, QueryMix, build_mixed_stream
-from .operations import EntityRef, ReadOperation, op_class_name
+from .operations import EntityRef, ReadOperation
 from .random_walk import RandomWalkConfig, extract_entities, run_walk
 from .calibration import (
     CalibrationResult,
@@ -29,7 +29,6 @@ __all__ = [
     "calibrate_frequencies",
     "expected_walk_length",
     "extract_entities",
-    "op_class_name",
     "run_walk",
     "scale_frequencies",
     "solve_walk_probability",

@@ -6,15 +6,14 @@ depend on nothing and nothing depends on them ("as they contain no
 inter-dependencies, executing the read queries in parallel is trivial" —
 paper §4.2), so both flags are off and the dependency metadata is zero.
 
-This module is also home to the two pieces of operation *identity* shared
-across layers:
+This module is also home to :class:`EntityRef`, the typed reference to
+a person/message entity that short reads take as input.
 
-* :class:`EntityRef` — the typed reference to a person/message entity
-  that short reads take as input;
-* :func:`op_class_name` — the one mapping from any operation object to
-  its latency/span class label (``Q9``, ``S3``, ``ADD_POST``, ...), used
-  by the driver scheduler, the connector spans and the telemetry metrics
-  bridge so per-class labels agree everywhere.
+Every operation shape — stream reads, update operations and the typed
+:mod:`repro.core.operation` union — names its latency/span class
+(``Q9``, ``S3``, ``ADD_POST``, ...) through one ``op_class`` property,
+so the driver scheduler, the connector spans and the telemetry metrics
+bridge agree on per-class labels.
 """
 
 from __future__ import annotations
@@ -80,22 +79,6 @@ class EntityRef:
         # Same hash as the tuple it replaces, so refs and legacy tuples
         # address the same dict slots during the deprecation window.
         return hash((self.kind, self.id))
-
-
-def op_class_name(op) -> str:
-    """The latency/span class of an operation (``Q9``, ``ADD_POST``, ...).
-
-    Works over every operation shape in the system: driver stream
-    operations (``op_class`` property), update operations (``kind``
-    enum), and the typed :mod:`repro.core.operation` union.  The driver
-    scheduler and the connector both label spans and latency records
-    through this one helper, so the per-class names in
-    :func:`repro.telemetry.publish_driver_metrics` gauges always match
-    the scheduler's span names.
-    """
-    op_class = getattr(op, "op_class", None) or getattr(op, "kind", None)
-    return op_class.name if hasattr(op_class, "name") \
-        else str(op_class or type(op).__name__)
 
 
 @dataclass(frozen=True)

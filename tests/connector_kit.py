@@ -3,16 +3,16 @@
 One parametrized suite (``test_connector_protocol.py``) asserts the
 :class:`~repro.core.connector.ConnectorProtocol` contract against every
 connector in the system — the driver connectors, the interactive and
-fault-injecting wrappers, the wire client, and the sharded store.  New
-connectors join the suite by adding a :class:`ConnectorCase`; the
-checks themselves live here so other test modules (and downstream
-SUT implementations) can reuse them against their own connectors.
+fault-injecting wrappers, an in-process SUT used directly, the wire
+client, and the sharded store.  New connectors join the suite by
+adding a :class:`ConnectorCase`; the checks themselves live here so
+other test modules (and downstream SUT implementations) can reuse them
+against their own connectors.
 
 The contract, as checked:
 
 * **structure** — the connector satisfies the runtime-checkable
-  protocol; ``supports_reads`` / ``is_remote`` are real booleans with
-  the declared values;
+  protocol (``execute`` plus ``close``);
 * **close** — ``close()`` is safe to call twice, and a single close
   reaches every wrapped SUT/connector exactly once;
 * **error taxonomy** — exceptions raised by the wrapped system cross
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.connector import ConnectorProtocol
+from repro.core.sut import BaseSUT
 from repro.driver.resilience import AbandonedAttemptError, \
     _attempt_state, default_is_transient
 from repro.errors import FatalSUTError, TransientError
@@ -42,8 +43,7 @@ class StubSUT:
 
     name = "stub"
 
-    def __init__(self, remote: bool = False) -> None:
-        self.is_remote = remote
+    def __init__(self) -> None:
         self.closed = 0
         self.executed = 0
         self.raise_next: BaseException | None = None
@@ -59,6 +59,23 @@ class StubSUT:
 
     def close(self) -> None:
         self.closed += 1
+
+
+class StubBaseSUT(BaseSUT):
+    """Minimal :class:`BaseSUT` subclass: counts applied updates, and
+    its ``_update`` can be armed to raise a chosen exception."""
+
+    name = "stub-base"
+
+    def __init__(self) -> None:
+        self.applied = 0
+        self.raise_next: BaseException | None = None
+
+    def _update(self, operation) -> None:
+        if self.raise_next is not None:
+            exc, self.raise_next = self.raise_next, None
+            raise exc
+        self.applied += 1
 
 
 def probe_update():
@@ -112,8 +129,6 @@ class ConnectorCase:
 
     name: str
     build: Callable[[], Live]
-    supports_reads: bool
-    is_remote: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +138,7 @@ class ConnectorCase:
 def check_protocol_structure(case: ConnectorCase) -> None:
     live = case.build()
     try:
-        connector = live.connector
-        assert isinstance(connector, ConnectorProtocol), case.name
-        assert isinstance(connector.supports_reads, bool)
-        assert isinstance(connector.is_remote, bool)
-        assert connector.supports_reads == case.supports_reads, case.name
-        assert connector.is_remote == case.is_remote, case.name
+        assert isinstance(live.connector, ConnectorProtocol), case.name
     finally:
         live.done()
 
@@ -262,36 +272,23 @@ def _sleeping() -> Live:
     return Live(SleepingConnector(0.0))
 
 
-def _sut() -> Live:
-    from repro.driver.connectors import SUTConnector
-
-    stub = StubSUT()
-    connector = SUTConnector(stub)
+def _base_sut() -> Live:
+    sut = StubBaseSUT()
 
     def arm(exc: BaseException) -> None:
-        stub.raise_next = exc
+        sut.raise_next = exc
 
-    return Live(connector,
-                wrapped_close_counts=lambda: [stub.closed],
-                arm_error=arm, update_op=probe_update(),
-                applied_count=lambda: stub.executed)
-
-
-def _differential() -> Live:
-    from repro.driver.connectors import DifferentialConnector
-
-    primary, secondary = StubSUT(), StubSUT()
-    connector = DifferentialConnector(primary, secondary)
-    return Live(connector,
-                wrapped_close_counts=lambda: [primary.closed,
-                                              secondary.closed])
+    # The SUT is the connector: nothing wrapped, so close is only
+    # checked for idempotence.
+    return Live(sut, arm_error=arm, update_op=probe_update(),
+                applied_count=lambda: sut.applied)
 
 
 def _recording() -> Live:
-    from repro.driver.connectors import RecordingConnector, SUTConnector
+    from repro.driver.connectors import RecordingConnector
 
     stub = StubSUT()
-    connector = RecordingConnector(delegate=SUTConnector(stub))
+    connector = RecordingConnector(delegate=stub)
     return Live(connector,
                 wrapped_close_counts=lambda: [stub.closed])
 
@@ -312,14 +309,13 @@ def _interactive() -> Live:
 
 
 def _fault_injecting() -> Live:
-    from repro.driver.connectors import SUTConnector
     from repro.faults import FaultInjectingConnector, FaultPlan
 
     stub = StubSUT()
     # Every op takes the latency path: sleep, then the abandonment
     # re-check, then delegate — the guarded stall this kit probes.
     plan = FaultPlan.uniform(latency=1.0, latency_seconds=0.001)
-    connector = FaultInjectingConnector(SUTConnector(stub), plan)
+    connector = FaultInjectingConnector(stub, plan)
 
     def arm(exc: BaseException) -> None:
         stub.raise_next = exc
@@ -340,18 +336,12 @@ def _remote() -> Live:
 
 
 DEFAULT_CASES = (
-    ConnectorCase("SleepingConnector", _sleeping, supports_reads=False),
-    ConnectorCase("SUTConnector", _sut, supports_reads=True),
-    ConnectorCase("DifferentialConnector", _differential,
-                  supports_reads=True),
-    ConnectorCase("RecordingConnector", _recording,
-                  supports_reads=False),
-    ConnectorCase("InteractiveConnector", _interactive,
-                  supports_reads=True),
-    ConnectorCase("FaultInjectingConnector", _fault_injecting,
-                  supports_reads=True),
-    ConnectorCase("RemoteConnector", _remote, supports_reads=True,
-                  is_remote=True),
+    ConnectorCase("SleepingConnector", _sleeping),
+    ConnectorCase("BaseSUT", _base_sut),
+    ConnectorCase("RecordingConnector", _recording),
+    ConnectorCase("InteractiveConnector", _interactive),
+    ConnectorCase("FaultInjectingConnector", _fault_injecting),
+    ConnectorCase("RemoteConnector", _remote),
 )
 
 
@@ -369,13 +359,11 @@ def sharded_case(split, shards: int = 2) -> ConnectorCase:
         import shutil
         import tempfile
 
-        from repro.driver.connectors import SUTConnector
         from repro.shard import ShardedStoreSUT
 
         wal_dir = tempfile.mkdtemp(prefix="repro-kit-wal-")
         sut = ShardedStoreSUT.for_network(split.bulk, shards,
                                           wal_dir=wal_dir)
-        connector = SUTConnector(sut)
 
         def crash() -> None:
             for handle in sut.router.handles:
@@ -386,7 +374,7 @@ def sharded_case(split, shards: int = 2) -> ConnectorCase:
             sut.close()
             shutil.rmtree(wal_dir, ignore_errors=True)
 
-        return Live(connector,
+        return Live(sut,
                     wrapped_close_counts=lambda: [
                         1 if sut.router._closed else 0],
                     update_op=split.updates[0],
@@ -397,5 +385,4 @@ def sharded_case(split, shards: int = 2) -> ConnectorCase:
                     state_digest=sut.digest,
                     cleanup=cleanup)
 
-    return ConnectorCase("ShardedStoreConnector", build,
-                         supports_reads=True)
+    return ConnectorCase("ShardedStoreConnector", build)

@@ -2,10 +2,11 @@
 
 The checks themselves live in :mod:`tests.connector_kit` — one
 parametrized suite run against the driver connectors, the interactive
-and fault-injecting wrappers, the (never-dialled) wire client, and the
-multi-process sharded store.  This module only binds the kit's cases
-to pytest and keeps the handful of assertions that are about the
-protocol *type* rather than any one connector.
+and fault-injecting wrappers, an in-process SUT used directly, the
+(never-dialled) wire client, and the multi-process sharded store.
+This module only binds the kit's cases to pytest and keeps the handful
+of assertions that are about the protocol *type* rather than any one
+connector.
 """
 
 from __future__ import annotations
@@ -14,17 +15,10 @@ import pytest
 
 from repro.core.connector import ConnectorProtocol
 from repro.core.sut import StoreSUT
-from repro.driver.connectors import (
-    DifferentialConnector,
-    RecordingConnector,
-    SUTConnector,
-)
-from repro.faults import FaultInjectingConnector, FaultPlan
 
 from .connector_kit import (
     DEFAULT_CASES,
     ConnectorCase,
-    StubSUT,
     check_abandoned_never_double_applies,
     check_close_idempotent,
     check_crash_recovery,
@@ -92,34 +86,21 @@ def test_every_guarding_connector_is_actually_probed(all_cases):
 def test_taxonomy_check_is_actually_probed(all_cases):
     probed = [case.name for case in all_cases
               if check_error_taxonomy(case)]
-    assert {"SUTConnector", "InteractiveConnector",
+    assert {"BaseSUT", "InteractiveConnector",
             "FaultInjectingConnector"} <= set(probed)
 
 
 # -- protocol-type assertions (not per-connector) --------------------------
-
-def test_wrappers_inherit_is_remote_from_their_sut():
-    assert not SUTConnector(StubSUT()).is_remote
-    assert SUTConnector(StubSUT(remote=True)).is_remote
-    assert DifferentialConnector(
-        StubSUT(), StubSUT(remote=True)).is_remote
-    inner = SUTConnector(StubSUT(remote=True))
-    assert FaultInjectingConnector(inner, FaultPlan()).is_remote
-    assert RecordingConnector(delegate=inner).is_remote
-
 
 def test_real_suts_conform_too(loaded_store):
     sut = StoreSUT(loaded_store)
     # SUTs themselves satisfy the structural contract (unified execute
     # plus close), which is what lets RemoteConnector stand in for one.
     assert isinstance(sut, ConnectorProtocol)
-    assert sut.supports_reads and not sut.is_remote
 
 
 def test_nonconforming_object_is_rejected():
     class Half:
-        supports_reads = True
-
         def execute(self, operation):
             return None
 

@@ -1,22 +1,18 @@
-"""Update-aware differential execution: plan building, the lockstep
-runner, and the driver-level DifferentialConnector."""
+"""Update-aware differential execution: plan building and the lockstep
+runner."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.sut import EngineSUT, StoreSUT
+from repro.core.sut import StoreSUT
 from repro.datagen.update_stream import UpdateKind
-from repro.driver.connectors import DifferentialConnector
-from repro.driver.modes import ExecutionMode
-from repro.driver.scheduler import DriverConfig, WorkloadDriver
 from repro.validation import (
     build_plan,
     render_differential,
     run_differential,
 )
 from repro.validation.differential import touched_refs
-from repro.workload.mix import build_mixed_stream
 from repro.workload.operations import EntityRef
 
 
@@ -133,21 +129,3 @@ class TestRunDifferential:
             render_differential(report)
         assert bundle is not None and bundle.failing.query_id == 2
 
-
-class TestDifferentialConnector:
-    def test_driver_run_agrees_and_converges(self, small_split,
-                                             small_params):
-        """Both SUTs driven through the real scheduler (sequential,
-        one partition — the strict-oracle configuration) agree on
-        every interleaved read and on the final full-graph state."""
-        store_sut = StoreSUT.for_network(small_split.bulk)
-        engine_sut = EngineSUT.for_network(small_split.bulk)
-        connector = DifferentialConnector(store_sut, engine_sut)
-        stream = build_mixed_stream(small_split.updates[:400],
-                                    small_params)
-        driver = WorkloadDriver(connector, DriverConfig(
-            num_partitions=1, mode=ExecutionMode.SEQUENTIAL))
-        report = driver.run(stream)
-        assert report.metrics.operations == len(stream)
-        assert connector.agreed, connector.disagreements
-        assert store_sut.digest() == engine_sut.digest()

@@ -48,7 +48,8 @@ class TestRetryPolicy:
     def test_transient_failures_absorbed(self, split):
         connector = FlakyConnector(failure_rate=0.2, seed=3)
         driver = WorkloadDriver(connector, DriverConfig(
-            num_partitions=4, max_retries=3, retry_backoff=0.0))
+            num_partitions=4,
+            resilience=RetryPolicy(max_retries=3, base_backoff=0.0)))
         report = driver.run(split.updates)
         assert connector.failures_injected > 0
         assert report.retries == connector.failures_injected
@@ -65,7 +66,8 @@ class TestRetryPolicy:
     def test_permanent_failure_eventually_raises(self, split):
         connector = FlakyConnector(failure_rate=1.0, permanent=True)
         driver = WorkloadDriver(connector, DriverConfig(
-            num_partitions=2, max_retries=2, retry_backoff=0.0))
+            num_partitions=2,
+            resilience=RetryPolicy(max_retries=2, base_backoff=0.0)))
         with pytest.raises(ConnectionError):
             driver.run(split.updates[:10])
 
@@ -74,7 +76,8 @@ class TestRetryPolicy:
         leak): dependents behind it execute normally."""
         connector = FlakyConnector(failure_rate=0.3, seed=9)
         driver = WorkloadDriver(connector, DriverConfig(
-            num_partitions=4, max_retries=5, retry_backoff=0.0,
+            num_partitions=4,
+            resilience=RetryPolicy(max_retries=5, base_backoff=0.0),
             dependency_wait_timeout=30))
         report = driver.run(split.updates)
         assert report.dependency_timeouts == 0

@@ -10,7 +10,6 @@ from repro.driver import (
     ExecutionMode,
     RecordingConnector,
     SleepingConnector,
-    SUTConnector,
     WorkloadDriver,
 )
 from repro.errors import DriverError
@@ -88,7 +87,7 @@ class TestStateConvergence:
     def test_final_store_state_identical(self, network, split, mode,
                                          partitions):
         store = load_network(split.bulk)
-        driver = WorkloadDriver(SUTConnector(StoreSUT(store)), DriverConfig(
+        driver = WorkloadDriver(StoreSUT(store), DriverConfig(
             num_partitions=partitions, mode=mode))
         driver.run(split.updates)
         with store.transaction() as txn:
@@ -102,7 +101,7 @@ class TestStateConvergence:
     def test_windowed_final_state(self, network, split,
                                   datagen_config):
         store = load_network(split.bulk)
-        driver = WorkloadDriver(SUTConnector(StoreSUT(store)), DriverConfig(
+        driver = WorkloadDriver(StoreSUT(store), DriverConfig(
             num_partitions=4, mode=ExecutionMode.WINDOWED,
             window_millis=datagen_config.t_safe_millis))
         driver.run(split.updates)

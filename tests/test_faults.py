@@ -163,10 +163,8 @@ class TestInjector:
     def test_fallback_identity_without_operations(self, small_split):
         """No stream binding: ops identified by (class, due time)."""
         op = small_split.updates[0]
-        from repro.workload.operations import op_class_name
-
         plan = FaultPlan().with_fault(
-            (op_class_name(op), op.due_time),
+            (op.op_class, op.due_time),
             FaultSpec(FaultKind.ABORT, attempts=1))
         inner = CountingConnector()
         connector = FaultInjectingConnector(inner, plan)

@@ -97,7 +97,6 @@ def test_execute_round_trip_and_ping(server_client):
 def test_connector_protocol_conformance(server_client):
     __, client, __ = server_client()
     assert isinstance(client, ConnectorProtocol)
-    assert client.supports_reads and client.is_remote
 
 
 def test_execute_batch_pipelines_in_order(server_client):

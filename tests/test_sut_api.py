@@ -1,6 +1,9 @@
-"""The unified ``execute(op)`` SUT API, EntityRef, and op_class_name."""
+"""The unified ``execute(op)`` SUT API, EntityRef, and ``op_class``."""
 
 from __future__ import annotations
+
+import threading
+import time
 
 import pytest
 
@@ -13,14 +16,12 @@ from repro.core import (
     Update,
     as_operation,
 )
+from repro.core.connector import InteractiveConnector
 from repro.core.sut import load_sut
 from repro.datagen.update_stream import UpdateOperation
+from repro.driver import DriverConfig, ExecutionMode, WorkloadDriver
 from repro.errors import BenchmarkError
-from repro.workload.operations import (
-    EntityRef,
-    ReadOperation,
-    op_class_name,
-)
+from repro.workload.operations import EntityRef, ReadOperation
 
 
 # -- EntityRef -------------------------------------------------------------
@@ -45,23 +46,17 @@ def test_entity_ref_of_and_kinds():
     assert EntityRef.person(1) != EntityRef.message(1)
 
 
-# -- op_class_name ---------------------------------------------------------
+# -- op_class --------------------------------------------------------------
 
-def test_op_class_name_across_shapes(split):
+def test_op_class_across_shapes(split):
     read = ReadOperation(query_id=9, params=None, due_time=0)
-    assert op_class_name(read) == "Q9"
+    assert read.op_class == "Q9"
     update = split.updates[0]
     assert isinstance(update, UpdateOperation)
-    assert op_class_name(update) == update.kind.name
-    assert op_class_name(ComplexRead(2, None)) == "Q2"
-    assert op_class_name(ShortRead(4, EntityRef.message(1))) == "S4"
-    assert op_class_name(Update(update)) == update.kind.name
-
-
-def test_driver_and_workload_share_the_helper():
-    from repro.driver import scheduler
-
-    assert scheduler._op_class_name is op_class_name
+    assert update.op_class == update.kind.name
+    assert ComplexRead(2, None).op_class == "Q2"
+    assert ShortRead(4, EntityRef.message(1)).op_class == "S4"
+    assert Update(update).op_class == update.kind.name
 
 
 # -- as_operation coercion -------------------------------------------------
@@ -121,6 +116,32 @@ def test_execute_accepts_legacy_driver_shapes(sut, curated_params):
     legacy = ReadOperation(query_id=2, params=binding, due_time=0)
     assert sut.execute(legacy).value \
         == sut.execute(ComplexRead(2, binding)).value
+
+
+# -- the engine serializes itself ------------------------------------------
+
+def test_engine_serializes_concurrent_partitions(small_split):
+    """The catalog has no internal concurrency control: a 4-partition
+    driver must still reach the engine one operation at a time."""
+    sut = EngineSUT.for_network(small_split.bulk)
+    guard = threading.Lock()
+    inside = peak = 0
+
+    def probe(operation) -> None:
+        nonlocal inside, peak
+        with guard:
+            inside += 1
+            peak = max(peak, inside)
+        time.sleep(0.0005)
+        with guard:
+            inside -= 1
+
+    sut._update = probe
+    driver = WorkloadDriver(InteractiveConnector(sut), DriverConfig(
+        num_partitions=4, mode=ExecutionMode.SEQUENTIAL))
+    report = driver.run(small_split.updates[:400])
+    assert report.metrics.operations == min(400, len(small_split.updates))
+    assert peak == 1
 
 
 # -- load_sut refusals -----------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from repro import telemetry
 from repro.core.connector import InteractiveConnector
 from repro.core.sut import EngineSUT, StoreSUT
-from repro.driver import DriverConfig, SUTConnector, WorkloadDriver
+from repro.driver import DriverConfig, WorkloadDriver
 from repro.driver.modes import ExecutionMode
 from repro.store import load_network
 from repro.workload.operations import ReadOperation
@@ -119,7 +119,7 @@ class TestDriverTraceHierarchy:
 class TestUpdateRunTraced:
     def test_store_commits_nest_under_ops(self, split, traced):
         store = load_network(split.bulk)
-        driver = WorkloadDriver(SUTConnector(StoreSUT(store)), DriverConfig(
+        driver = WorkloadDriver(StoreSUT(store), DriverConfig(
             num_partitions=2, mode=ExecutionMode.PARALLEL))
         driver.run(split.updates[:200])
         spans = traced.finished_spans()
@@ -135,7 +135,7 @@ class TestUpdateRunTraced:
 
     def test_driver_metrics_bridged_to_registry(self, split, traced):
         store = load_network(split.bulk)
-        driver = WorkloadDriver(SUTConnector(StoreSUT(store)), DriverConfig(
+        driver = WorkloadDriver(StoreSUT(store), DriverConfig(
             num_partitions=2, mode=ExecutionMode.PARALLEL))
         report = driver.run(split.updates[:200])
         registry = telemetry.get_registry()
@@ -150,7 +150,7 @@ class TestUpdateRunTraced:
 
     def test_gc_waits_recorded(self, split, traced):
         store = load_network(split.bulk)
-        driver = WorkloadDriver(SUTConnector(StoreSUT(store)), DriverConfig(
+        driver = WorkloadDriver(StoreSUT(store), DriverConfig(
             num_partitions=4, mode=ExecutionMode.PARALLEL))
         driver.run(split.updates[:500])
         waits = [span for span in traced.finished_spans()
