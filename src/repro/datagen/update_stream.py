@@ -25,6 +25,7 @@ eight columns of the paper's Table 9).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -86,6 +87,14 @@ class UpdateOperation:
     #: dependencies between users and their generated content TGC tracking
     #: is used, as it is impossible to partition the social graph").
     global_depends_on_time: int = 0
+
+    @property
+    def op_key(self) -> str:
+        """Identity across driver retries: a sha1 of kind, due time and
+        payload repr, never of object identity — what the shard WALs
+        and the wire server's dedup table deduplicate on."""
+        body = f"{self.kind.value}:{self.due_time}:{self.payload!r}"
+        return hashlib.sha1(body.encode()).hexdigest()
 
     @property
     def is_dependency(self) -> bool:

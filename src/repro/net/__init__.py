@@ -16,10 +16,11 @@ that boundary without changing anything above it:
   (reject-with-retry-after when the queue is full), and exactly-once
   update application keyed on client-supplied operation tokens;
 * :mod:`repro.net.client` — :class:`RemoteConnector`, implementing the
-  same connector protocol as the in-process SUTs (connection pool,
-  request batching/pipelining, timeout mapping onto the existing
-  error taxonomy) so the scheduler, resilience layer, fault injector
-  and the ``crosscheck``/``chaos`` CLIs work unchanged over the wire.
+  same connector protocol as the in-process SUTs (a pool of
+  :mod:`repro.net.channel` channels, one per concurrent caller; timeout
+  mapping onto the existing error taxonomy) so the scheduler,
+  resilience layer, fault injector and the ``crosscheck``/``chaos``
+  CLIs work unchanged over the wire.
 """
 
 from .admission import Admission, AdmissionController

@@ -10,7 +10,7 @@ existing oracle (crosscheck, differential, chaos, golden) applies to
 the sharded path unchanged.
 """
 
-from .router import ShardRouter, ShardedTransaction, stable_update_key
+from .router import ShardRouter, ShardedTransaction
 from .routing import (
     ShardLoad,
     ShardWrites,
@@ -45,5 +45,4 @@ __all__ = [
     "owner_of",
     "partition_bulk",
     "partition_writes",
-    "stable_update_key",
 ]

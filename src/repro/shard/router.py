@@ -1,7 +1,7 @@
 """The shard router: one process orchestrating N worker shards.
 
-The router owns one duplex pipe per worker, guarded by a per-shard
-lock, and exposes three things:
+The router owns one duplex pipe per worker, wrapped in a request
+channel, and exposes three things:
 
 * a **read transaction** (:class:`ShardedTransaction`) implementing the
   whole :class:`repro.store.graph.Transaction` read API, so every SNB
@@ -36,7 +36,6 @@ plus the op-key table make the retry safe); a dead worker raises
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import threading
@@ -55,6 +54,7 @@ from ..errors import (
     ShardTimeoutError,
     TransientError,
 )
+from ..net.channel import Channel
 from ..queries.updates import executor_for
 from ..store.graph import Direction
 from .routing import (
@@ -83,19 +83,6 @@ def default_start_method() -> str:
         else "spawn"
 
 
-def stable_update_key(operation: UpdateOperation) -> str:
-    """Deterministic identity of one update across driver retries.
-
-    Mirrors the wire client's stable op key: derived from the
-    operation's own fields (kind, due time, frozen payload repr), never
-    from object identity, so a retried attempt hashes identically and
-    the workers' applied-tables can deduplicate it.
-    """
-    body = (f"{operation.kind.value}:{operation.due_time}:"
-            f"{operation.payload!r}")
-    return hashlib.sha1(body.encode()).hexdigest()
-
-
 def _decode_error(payload: tuple[str, str, bool]) -> BaseException:
     """Re-raise a worker error surrogate as its taxonomy class."""
     name, message, transient = payload
@@ -110,27 +97,45 @@ def _decode_error(payload: tuple[str, str, bool]) -> BaseException:
     return FatalSUTError(f"shard worker {name}: {message}")
 
 
-class ShardHandle:
-    """Router-side endpoint of one worker: pipe + lock + sequencing.
+class PipeTransport:
+    """A worker pipe as a :class:`~repro.net.channel.Channel` transport:
+    ``(seq, method, args)`` out, ``(seq, status, payload)`` back."""
 
-    One outstanding request per shard (the lock); the worker answers in
-    request order, so a timed-out sequence number is remembered and its
-    late response drained before any later reply is interpreted.
+    def __init__(self, conn) -> None:
+        self.conn = conn
+
+    def send(self, seq: int, request: tuple) -> None:
+        self.conn.send((seq, *request))
+
+    def poll(self, timeout: float) -> bool:
+        return self.conn.poll(timeout)
+
+    def recv(self) -> tuple:
+        seq, status, payload = self.conn.recv()
+        return seq, (status, payload)
+
+    def close(self) -> None:
+        self.conn.close()
+
+
+class ShardHandle:
+    """Router-side endpoint of one worker: its process and channel.
+
+    The :class:`~repro.net.channel.Channel` carries one request at a
+    time and drops the late answer of a timed-out call; the worker is
+    serial, so that answer always precedes the next one.
 
     ``generation`` counts worker incarnations: the supervisor bumps it
-    when it swaps in a respawned process, which is how a failed caller
-    distinguishes "my worker is still dead" from "someone already
-    recovered it".  ``pending`` counts requests currently queued or in
-    flight on this shard — part of the dead-worker error payload.
+    after it swaps in a respawned process and channel, which is how a
+    failed caller distinguishes "my worker is still dead" from "someone
+    already recovered it".  ``pending`` counts requests currently queued
+    or in flight on this shard — part of the dead-worker error payload.
     """
 
     def __init__(self, index: int, process, conn) -> None:
         self.index = index
         self.process = process
-        self.conn = conn
-        self.lock = threading.Lock()
-        self._seq = 0
-        self._stale: set[int] = set()
+        self.channel = Channel(PipeTransport(conn))
         self.timeouts = 0
         self.generation = 0
         self.pending = 0
@@ -139,47 +144,23 @@ class ShardHandle:
              op_key: str | None = None):
         self.pending += 1
         try:
-            return self._call(method, args, timeout, op_key)
+            status, payload = self.channel.call((method, args), timeout)
+        except TimeoutError:
+            self.timeouts += 1
+            raise ShardTimeoutError(
+                f"shard {self.index} did not answer {method} "
+                f"within {timeout:.3f}s") from None
+        except ConnectionError as exc:
+            raise ShardConnectionError(
+                f"shard worker died during {method} "
+                f"(pid {self.process.pid})",
+                shard_index=self.index, op_key=op_key,
+                pending=self.pending) from exc
         finally:
             self.pending -= 1
-
-    def _call(self, method: str, args: tuple, timeout: float,
-              op_key: str | None):
-        with self.lock:
-            self._seq += 1
-            seq = self._seq
-            try:
-                self.conn.send((seq, method, args))
-            except (BrokenPipeError, OSError) as exc:
-                raise ShardConnectionError(
-                    f"shard worker pipe closed on send ({method})",
-                    shard_index=self.index, op_key=op_key,
-                    pending=self.pending) from exc
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self.conn.poll(remaining):
-                    self._stale.add(seq)
-                    self.timeouts += 1
-                    raise ShardTimeoutError(
-                        f"shard {self.index} did not answer {method} "
-                        f"within {timeout:.3f}s")
-                try:
-                    got_seq, status, payload = self.conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise ShardConnectionError(
-                        f"shard worker died during {method} "
-                        f"(pid {self.process.pid})",
-                        shard_index=self.index, op_key=op_key,
-                        pending=self.pending) from exc
-                if got_seq != seq:
-                    # A late answer to an abandoned (timed-out) request;
-                    # the worker is serial, so these always precede ours.
-                    self._stale.discard(got_seq)
-                    continue
-                if status == "ok":
-                    return payload
-                raise _decode_error(payload)
+        if status == "ok":
+            return payload
+        raise _decode_error(payload)
 
 
 class ShardRouter:
@@ -408,7 +389,7 @@ class ShardRouter:
                           if writes)
         if not involved:
             return
-        op_key = stable_update_key(operation)
+        op_key = operation.op_key
         with self._commit_lock:
             self._epoch += 1
             self._updates += 1
@@ -521,7 +502,7 @@ class ShardRouter:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=2.0)
-            handle.conn.close()
+            handle.channel.close()
         if self._gather_pool is not None:
             self._gather_pool.shutdown(wait=False)
         self.txlog.close()

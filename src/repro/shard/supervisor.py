@@ -40,6 +40,8 @@ import time
 
 from .. import telemetry
 from ..errors import ShardConnectionError, ShardRecoveringError
+from ..net.channel import Channel
+from .router import PipeTransport
 from .routing import ShardLoad
 from .worker import ShardDurability, ShardFaultPlan, shard_worker_main
 
@@ -142,20 +144,14 @@ class WorkerSupervisor:
             daemon=True)
         process.start()
         child_conn.close()
-        old_process, old_conn = handle.process, handle.conn
-        # Swap the endpoint under the handle lock so no caller ever
-        # mixes the two pipes; the recovery RPCs below then go through
-        # the normal serialized call path on the new pipe.
-        with handle.lock:
-            handle.process = process
-            handle.conn = parent_conn
-            handle.generation += 1
-            handle._stale.clear()
-            handle._seq = 0
-        try:
-            old_conn.close()
-        except OSError:
-            pass
+        old_process, old_channel = handle.process, handle.channel
+        # The generation moves last, so a caller that sees it moved also
+        # sees the new channel; one still holding the old (dead) channel
+        # fails and recover_and_reissue() sends it on to the new one.
+        handle.process = process
+        handle.channel = Channel(PipeTransport(parent_conn))
+        handle.generation += 1
+        old_channel.close()
         if old_process.is_alive():
             old_process.terminate()
         control = self.router._control_timeout

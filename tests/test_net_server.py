@@ -2,13 +2,15 @@
 
 Every test starts a real :class:`ReproServer` on an ephemeral loopback
 port and talks to it through :class:`RemoteConnector` — the codec,
-framing, pipelining, worker pool, and error mapping are all exercised
-end to end, just very small.
+framing, channel pool, worker pool, and error mapping are all
+exercised end to end, just very small.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import queue
+import sys
 import threading
 import time
 
@@ -99,35 +101,52 @@ def test_connector_protocol_conformance(server_client):
     assert isinstance(client, ConnectorProtocol)
 
 
-def test_execute_batch_pipelines_in_order(server_client):
-    __, client, sut = server_client()
-    ops = [ShortRead(2, EntityRef.person(i)) for i in range(20)]
-    results = client.execute_batch(ops)
-    assert [r.op_class for r in results] == ["S2"] * 20
-    # All executed exactly once, whatever order the pool chose.
-    assert sorted(o.entity.id for o in sut.executed) == list(range(20))
+def _hammer(client, threads: int, ops: int):
+    """``threads`` callers run ``ops`` short reads each, all starting
+    together; returns the errors they raised."""
+    errors = []
+    start = threading.Barrier(threads)
+
+    def caller(worker: int) -> None:
+        start.wait()
+        try:
+            for i in range(ops):
+                client.execute(ShortRead(3, EntityRef.person(
+                    worker * 100 + i)))
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=caller, args=(w,))
+               for w in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(30.0)
+    assert not any(worker.is_alive() for worker in workers)
+    return errors
+
+
+def test_default_pool_opens_one_connection_per_concurrent_caller(
+        server_client):
+    server, client, sut = server_client()
+    sut.delay = 0.2  # every caller is mid-request when the others dial
+    assert _hammer(client, threads=4, ops=1) == []
+    assert len(client._open) == 4
+    assert len(server._connections) == 4
 
 
 def test_concurrent_callers_multiplex_one_pool(server_client):
-    __, client, sut = server_client(pool_size=2)
-    errors = []
-
-    def hammer(worker: int) -> None:
-        try:
-            for i in range(10):
-                client.execute(ShortRead(3, EntityRef.person(
-                    worker * 100 + i)))
-        except BaseException as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=hammer, args=(w,))
-               for w in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
+    server, client, sut = server_client(pool_size=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the pool's check-then-act
+    try:
+        assert _hammer(client, threads=4, ops=10) == []
+    finally:
+        sys.setswitchinterval(interval)
     assert len(sut.executed) == 40
+    # The capped callers took turns on the one connection.
+    assert len(client._open) == 1
+    assert len(server._connections) == 1
 
 
 # -- error taxonomy mapping ------------------------------------------------
@@ -167,6 +186,7 @@ def test_wire_timeout_maps_to_operation_timeout(server_client):
     sut.delay = 0.0
     client.timeout = 10.0
     assert client.execute(SHORT).op_class == "S1"
+    assert len(client._open) == 1
     # The timed-out attempt still completes server-side eventually
     # (reads carry no op_key; only updates get dedup protection).
     deadline = time.monotonic() + 5.0
@@ -187,19 +207,70 @@ def test_connection_loss_maps_to_connection_error(server_client):
     assert default_is_transient(ConnectionError("peer gone"))
 
 
+def test_dead_connection_is_dropped_from_the_pool(server_client):
+    server, client, __ = server_client()
+    client.execute(SHORT)
+    (channel,) = client._open
+    for connection in list(server._connections):
+        connection.close()  # the server hangs up on the client
+    with pytest.raises(ConnectionError):
+        client.execute(SHORT)
+    assert channel.dead is not None
+    assert channel not in client._open and client._idle == []
+    # The next call dials afresh.
+    assert client.execute(SHORT).op_class == "S1"
+    assert len(client._open) == 1
+
+
+def test_close_wakes_a_caller_blocked_on_the_wire(server_client):
+    __, client, sut = server_client()
+    sut.delay = 2.0
+    outcome = []
+    thread = threading.Thread(
+        target=lambda: _swallow(lambda: client.execute(SHORT), outcome))
+    thread.start()
+    time.sleep(0.1)  # the request is on the wire
+    started = time.monotonic()
+    client.close()
+    thread.join(5.0)
+    assert time.monotonic() - started < 1.0
+    assert isinstance(outcome[0], ConnectionError)
+
+
+def test_slow_op_outlives_the_connect_timeout(server_client):
+    # The dial timeout must not linger as the socket's read timeout:
+    # a 0.5 s operation inside a 10 s request budget succeeds.
+    __, client, sut = server_client(connect_timeout=0.2)
+    sut.delay = 0.5
+    assert client.execute(SHORT).op_class == "S1"
+
+
+def test_idle_connection_outlives_the_connect_timeout(server_client):
+    server, client, __ = server_client(connect_timeout=0.2)
+    client.execute(SHORT)
+    connections = list(server._connections)
+    time.sleep(0.4)
+    client.execute(SHORT)
+    # The same socket served both calls: it was never dropped and
+    # re-dialed in between.
+    assert server._connections == connections
+
+
 # -- backpressure ----------------------------------------------------------
 
 def test_backpressure_rejects_busy_with_retry_hint(server_client):
     server, client, sut = server_client(
         config=ServerConfig(workers=1, queue_size=1, retry_after=0.123))
     sut.delay = 0.3
-    ops = [ShortRead(4, EntityRef.person(i)) for i in range(8)]
-    with pytest.raises(ServerBusyError) as excinfo:
-        client.execute_batch(ops)
-    assert excinfo.value.retry_after == pytest.approx(0.123)
+    # Eight concurrent callers, eight connections: one executes, one
+    # waits in the queue, the rest are turned away.
+    errors = _hammer(client, threads=8, ops=1)
+    busy = [e for e in errors if isinstance(e, ServerBusyError)]
+    assert busy and len(busy) == len(errors)
+    assert busy[0].retry_after == pytest.approx(0.123)
     assert server.stats()["rejected_busy"] >= 1
     # Busy is transient: the resilience policy will back off and retry.
-    assert isinstance(excinfo.value, TransientError)
+    assert isinstance(busy[0], TransientError)
 
 
 # -- admission control -----------------------------------------------------
@@ -411,36 +482,16 @@ def test_shutdown_releases_workers_despite_backlogged_queue():
     server.shutdown()  # idempotent: a second call must not block
 
 
-# -- client-side accounting ------------------------------------------------
-
-def test_timeout_race_does_not_double_decrement_in_flight():
-    # Simulate the reader delivering (entry popped, counter already
-    # decremented) just after event.wait timed out but before wait()
-    # reacquired the lock: only the popper may decrement.
-    from repro.net.client import _Pending, _PooledConnection
-
-    connection = _PooledConnection.__new__(_PooledConnection)
-    connection.pending_lock = threading.Lock()
-    connection.pending = {}
-    connection.in_flight = 0
-    connection.dead = None
-    with pytest.raises(OperationTimeoutError):
-        connection.wait(7, _Pending(), timeout=0.0)
-    assert connection.in_flight == 0
-
+# -- op keys ---------------------------------------------------------------
 
 def test_op_keys_are_stable_and_never_alias(split):
-    client = RemoteConnector("127.0.0.1", 1)  # never dialed
-    first, second = split.updates[0], split.updates[1]
-    key = client._stable_op_key(first)
-    assert client._stable_op_key(first) == key
-    keys = {key, client._stable_op_key(second)}
-    assert len(keys) == 2
-    # Fresh short-lived items must never reuse a key, even though
-    # CPython recycles ids of collected objects.
-    for __ in range(50):
-        keys.add(client._stable_op_key(object()))
-    assert len(keys) == 52
+    first = split.updates[0]
+    assert first.op_key == first.op_key
+    # An equal item re-created from the stream keys identically.
+    assert dataclasses.replace(first).op_key == first.op_key
+    # Distinct updates never share a key.
+    keys = {op.op_key for op in split.updates}
+    assert len(keys) == len(split.updates)
 
 
 # -- admin actions ---------------------------------------------------------
@@ -537,8 +588,9 @@ def test_drain_timeout_defaults_to_config():
     assert time.monotonic() - started < 0.2 + 1.0
 
 
-def _swallow(fn) -> None:
+def _swallow(fn, errors: list | None = None) -> None:
     try:
         fn()
-    except BaseException:
-        pass
+    except BaseException as exc:
+        if errors is not None:
+            errors.append(exc)
