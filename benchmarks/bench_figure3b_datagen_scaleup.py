@@ -1,85 +1,61 @@
 """Figure 3b — DATAGEN scale-up: generation time vs SF vs worker count.
 
 The paper measures wall-clock generation time for SF 30/300/1000 on 1, 3
-and 10 Hadoop nodes.  Since the pipeline gained a real process-parallel
-execution layer (``--jobs``, :mod:`repro.datagen.parallel`) this
-benchmark *measures* generation at 1/2/4 worker processes for three
-miniature SFs, and prints the per-stage Amdahl projection next to the
-measurement so the substituted model (DESIGN.md §2.3) can be judged
-against reality.
-
-On single-core runners the measured parallel columns show the pool's
-overhead rather than a speedup — the projection columns are what the
-paper's shape assertions run against, and measured-speedup assertions
-are gated on the usable core count.
+and 10 Hadoop nodes.  This generator is one serial pipeline, so the
+benchmark *measures* serial generation at three miniature SFs and prints
+the Amdahl projection of those stage timings at 2, 4 and 10 nodes
+(:meth:`repro.datagen.pipeline.DatagenTimings.projected_seconds`, the
+substituted model of DESIGN.md §2.3) next to it.  The paper's shape
+assertions run against the projection.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.bench import emit_artifact, format_table
-from repro.datagen import DatagenConfig, ParallelConfig
+from repro.datagen import DatagenConfig
 from repro.datagen.pipeline import DatagenPipeline
 
 SCALE_FACTORS = (0.003, 0.01, 0.03)
-JOBS = (1, 2, 4)
+NODES = (2, 4, 10)
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _measure(sf: float, jobs: int):
+def _measure(sf: float):
     """One full generation run; returns (wall seconds, stage timings)."""
-    config = DatagenConfig.for_scale_factor(
-        sf, seed=42, parallel=ParallelConfig(jobs=jobs))
-    pipeline = DatagenPipeline(config)
+    pipeline = DatagenPipeline(DatagenConfig.for_scale_factor(sf, seed=42))
     started = time.perf_counter()
     pipeline.run()
     return time.perf_counter() - started, pipeline.timings
 
 
 def test_figure3b_datagen_scaleup(benchmark):
-    measured = {(sf, jobs): _measure(sf, jobs)[0]
-                for sf in SCALE_FACTORS for jobs in JOBS}
-    serial_timings = {sf: _measure(sf, 1)[1] for sf in SCALE_FACTORS}
-    benchmark.pedantic(_measure, args=(SCALE_FACTORS[0], 1), rounds=1,
+    runs = {sf: _measure(sf) for sf in SCALE_FACTORS}
+    benchmark.pedantic(_measure, args=(SCALE_FACTORS[0],), rounds=1,
                        iterations=1)
 
     rows = []
     for sf in SCALE_FACTORS:
-        row = [f"{sf:g}"]
-        row += [round(measured[(sf, jobs)], 3) for jobs in JOBS]
-        row += [round(serial_timings[sf].projected_seconds(jobs), 3)
-                for jobs in JOBS[1:]]
-        rows.append(row)
-    cores = _usable_cores()
+        seconds, timings = runs[sf]
+        rows.append([f"{sf:g}", round(seconds, 3)]
+                    + [round(timings.projected_seconds(nodes), 3)
+                       for nodes in NODES])
     emit_artifact("figure3b_datagen_scaleup", format_table(
-        ["SF"] + [f"measured {jobs}j" for jobs in JOBS]
-        + [f"projected {jobs}j" for jobs in JOBS[1:]], rows,
-        title=f"Figure 3b — generation seconds vs scale factor "
-              f"(measured at --jobs 1/2/4 on {cores} core(s); "
-              f"Amdahl projection alongside)"))
+        ["SF", "measured 1 node"]
+        + [f"projected {nodes} nodes" for nodes in NODES], rows,
+        title="Figure 3b — generation seconds vs scale factor "
+              "(measured serial; Amdahl projection of its stage "
+              "timings alongside)"))
 
-    # Shape: larger SF → slower, at every job count.
-    for jobs in JOBS:
-        series = [measured[(sf, jobs)] for sf in SCALE_FACTORS]
-        assert series == sorted(series)
-    # The Amdahl projection must improve with workers (most of the
+    # Shape: larger SF → slower.
+    series = [runs[sf][0] for sf in SCALE_FACTORS]
+    assert series == sorted(series)
+    # The Amdahl projection must improve with nodes (most of the
     # pipeline partitions), mirroring the paper's scale-up curve.
     for sf in SCALE_FACTORS:
-        projected = [serial_timings[sf].projected_seconds(jobs)
-                     for jobs in JOBS]
-        assert projected[0] >= projected[1] >= projected[2]
-    big = serial_timings[SCALE_FACTORS[-1]]
+        timings = runs[sf][1]
+        projected = [timings.projected_seconds(nodes)
+                     for nodes in (1,) + NODES]
+        assert projected == sorted(projected, reverse=True)
+    big = runs[SCALE_FACTORS[-1]][1]
     assert big.projected_seconds(10) < 0.5 * big.projected_seconds(1)
-    # Measured speedup only exists when the hardware can run the
-    # workers concurrently.
-    if cores >= 2:
-        big_sf = SCALE_FACTORS[-1]
-        assert measured[(big_sf, 2)] < measured[(big_sf, 1)]

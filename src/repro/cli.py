@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import __version__, telemetry
-from .datagen import DatagenConfig, ParallelConfig, generate
+from .datagen import DatagenConfig, generate
 from .datagen.serializer import read_csv, write_csv
 from .datagen.stats import DatasetStatistics
 from .schema import validate_network
@@ -52,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for CSV bulk export")
     gen.add_argument("--no-events", action="store_true",
                      help="disable event-driven post spikes")
-    gen.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for generation (output is "
-                          "identical for any value; default 1 = serial)")
     _add_trace_flag(gen)
 
     val = commands.add_parser(
@@ -97,10 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--replay-out", metavar="PATH", default=None,
                      help="--check: write the (shrunk) replay bundle "
                           "of the first mismatch here")
-    val.add_argument("--jobs", type=int, default=1,
-                     help="--check: worker processes for regenerating "
-                          "the network (a parallel run must match the "
-                          "golden dataset byte for byte)")
 
     bench = commands.add_parser("benchmark",
                                 help="run the interactive benchmark")
@@ -332,18 +325,15 @@ class _TraceSession:
 
 
 def _cmd_generate(args) -> int:
-    parallel = ParallelConfig(jobs=args.jobs)
     if args.scale_factor is not None:
         config = DatagenConfig.for_scale_factor(
             args.scale_factor, seed=args.seed,
-            event_driven_posts=not args.no_events, parallel=parallel)
+            event_driven_posts=not args.no_events)
     else:
         config = DatagenConfig(num_persons=args.persons, seed=args.seed,
-                               event_driven_posts=not args.no_events,
-                               parallel=parallel)
+                               event_driven_posts=not args.no_events)
     print(f"generating {config.num_persons} persons "
-          f"(≈ SF {config.scale_factor:.4f}, seed {config.seed}, "
-          f"jobs {args.jobs}) ...")
+          f"(≈ SF {config.scale_factor:.4f}, seed {config.seed}) ...")
     trace = _TraceSession(args.trace)
     network = generate(config)
     for name, value in DatasetStatistics.of(network).as_row().items():
@@ -400,8 +390,7 @@ def _cmd_validate_golden(args) -> int:
         all_ok = True
         reports = []
         for sut_name in suts:
-            report = check_golden(args.check, sut_name, jobs=args.jobs,
-                                  shards=args.shards)
+            report = check_golden(args.check, sut_name, shards=args.shards)
             reports.append(report)
             print(render_golden_check(report))
             all_ok = all_ok and report.ok

@@ -21,13 +21,12 @@ Entry point: :func:`repro.datagen.pipeline.generate` /
 :class:`repro.datagen.pipeline.DatagenPipeline`.
 """
 
-from .config import DatagenConfig, ParallelConfig, persons_for_scale_factor
+from .config import DatagenConfig, persons_for_scale_factor
 from .pipeline import DatagenPipeline, generate
 
 __all__ = [
     "DatagenConfig",
     "DatagenPipeline",
-    "ParallelConfig",
     "generate",
     "persons_for_scale_factor",
 ]

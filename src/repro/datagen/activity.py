@@ -5,8 +5,8 @@ with posts comments and likes.  This data is mostly tree-structured and is
 therefore easily parallelized by the person who owns the forum."*
 
 Accordingly, all activity of a forum is generated from random streams keyed
-on the forum owner's serial: workers can process disjoint person ranges in
-any order and produce identical output (tested).
+on the forum owner's serial: owners can be processed in any order and
+produce identical output (tested).
 
 Temporal rules enforced here (paper Table 1 and §4.2):
 
@@ -59,8 +59,7 @@ _COMMENT_LAG_MEAN = 2 * MILLIS_PER_DAY
 _LIKE_LAG_MEAN = 1 * MILLIS_PER_DAY
 #: Forum-id slots reserved per owner (wall + groups + album).  Keeping the
 #: forum-id function of (owner serial, slot) makes activity generation
-#: independent of the order owners are processed in — the property that
-#: lets DATAGEN partition this stage over workers deterministically.
+#: independent of the order owners are processed in.
 _FORUM_SLOTS_PER_OWNER = 32
 #: Cap on moderated groups per person (bounds the geometric draw).
 _MAX_GROUPS_PER_OWNER = _FORUM_SLOTS_PER_OWNER - 2
@@ -117,23 +116,14 @@ class _Membership:
 
 
 class ActivityGenerator:
-    """Generates all forums/messages/likes for a set of persons.
-
-    ``person_resolver`` maps a person id to its :class:`Person`.  The
-    serial path builds it from the full person list; datagen workers pass
-    :meth:`repro.datagen.parallel.WorkerContext.person_by_id`, which
-    regenerates non-local persons on demand — persons are pure functions
-    of ``(config, serial)``, so both views are identical.
-    """
+    """Generates all forums/messages/likes for a set of persons."""
 
     def __init__(self, config: DatagenConfig, dictionaries: Dictionaries,
-                 universe: Universe, calendar: EventCalendar,
-                 person_resolver=None) -> None:
+                 universe: Universe, calendar: EventCalendar) -> None:
         self.config = config
         self.dictionaries = dictionaries
         self.universe = universe
         self.calendar = calendar
-        self._resolve = person_resolver
 
     @staticmethod
     def _forum_id(owner: Person, slot: int) -> int:
@@ -144,48 +134,31 @@ class ActivityGenerator:
     def generate(self, persons: list[Person],
                  adjacency: dict[int, list[tuple[int, int]]],
                  ) -> ActivityResult:
-        """Run the activity stage for all persons (serial order).
+        """Run the activity stage for all persons, owner by owner.
 
         ``adjacency`` maps a person id to ``(friend id, friendship date)``
-        pairs.
+        pairs.  Raw activity comes out in owner order;
+        :func:`finalize_activity` then assigns the time-ordered ids.
         """
-        if self._resolve is None:
-            self._resolve = {p.id: p for p in persons}.__getitem__
-        forums, memberships, drafts = self.generate_range(persons, adjacency)
-        return finalize_activity(forums, memberships, drafts)
-
-    def generate_range(self, owners: list[Person],
-                       adjacency: dict[int, list[tuple[int, int]]],
-                       ) -> tuple[list[Forum], list[ForumMembership],
-                                  list[_DraftMessage]]:
-        """Generate raw activity for a contiguous owner range.
-
-        Activity is keyed per owner, so disjoint ranges concatenated in
-        serial order reproduce the serial run exactly; the id-assigning
-        stitch is :func:`finalize_activity`, run once over the merged
-        drafts.
-        """
-        if self._resolve is None:
-            raise ValueError("generate_range needs a person_resolver")
+        self._person_by_id = {p.id: p for p in persons}
         forums: list[Forum] = []
         memberships: list[ForumMembership] = []
         drafts: list[_DraftMessage] = []
-        for person in owners:
-            self._generate_for_owner(person, self._resolve,
-                                     adjacency.get(person.id, []),
+        for person in persons:
+            self._generate_for_owner(person, adjacency.get(person.id, []),
                                      forums, memberships, drafts)
-        return forums, memberships, drafts
+        return finalize_activity(forums, memberships, drafts)
 
     # ------------------------------------------------------------------
     # per-owner generation
     # ------------------------------------------------------------------
 
-    def _generate_for_owner(self, owner: Person, resolve, friends,
-                            forums, memberships, drafts) -> None:
+    def _generate_for_owner(self, owner: Person, friends, forums,
+                            memberships, drafts) -> None:
         stream = RandomStream.for_key(self.config.seed, "activity",
                                       serial_of(owner.id))
-        wall, wall_members = self._make_wall(stream, owner, resolve,
-                                             friends, memberships)
+        wall, wall_members = self._make_wall(stream, owner, friends,
+                                             memberships)
         forums.append(wall)
         self._fill_forum(stream, wall, wall_members, owner, drafts,
                          wall_mode=True)
@@ -195,8 +168,7 @@ class ActivityGenerator:
             _MAX_GROUPS_PER_OWNER)
         for group_index in range(group_count):
             group, group_members = self._make_group(
-                stream, owner, resolve, friends, memberships,
-                slot=2 + group_index)
+                stream, owner, friends, memberships, slot=2 + group_index)
             if group is None:
                 continue
             forums.append(group)
@@ -205,12 +177,11 @@ class ActivityGenerator:
 
         if stream.random() < _ALBUM_PROBABILITY:
             album, album_members = self._make_album(
-                stream, owner, resolve, friends, memberships)
+                stream, owner, friends, memberships)
             forums.append(album)
             self._fill_album(stream, album, album_members, owner, drafts)
 
-    def _make_wall(self, stream, owner, resolve, friends,
-                   memberships):
+    def _make_wall(self, stream, owner, friends, memberships):
         creation = owner.creation_date + stream.randint(
             MILLIS_PER_HOUR, MILLIS_PER_DAY)
         creation = self.config.window.clamp(creation)
@@ -228,13 +199,13 @@ class ActivityGenerator:
                 MILLIS_PER_HOUR, 3 * MILLIS_PER_DAY)
             if join >= self.config.window.end:
                 continue
-            friend = resolve(friend_id)
+            friend = self._person_by_id[friend_id]
             members.append(_Membership(friend, join))
             memberships.append(ForumMembership(wall.id, friend_id, join))
         return wall, members
 
-    def _make_group(self, stream, owner, resolve, friends,
-                    memberships, slot: int):
+    def _make_group(self, stream, owner, friends, memberships,
+                    slot: int):
         """A topical group: members drawn from friends and their friends."""
         if not owner.interests:
             return None, []
@@ -250,7 +221,7 @@ class ActivityGenerator:
         owner_join = creation + MILLIS_PER_MINUTE
         members = [_Membership(owner, owner_join)]
         memberships.append(ForumMembership(group.id, owner.id, owner_join))
-        pool = [resolve(friend_id) for friend_id, __ in friends]
+        pool = [self._person_by_id[friend_id] for friend_id, __ in friends]
         if pool:
             size = min(len(pool), 1 + stream.geometric(0.15))
             for member in stream.sample(pool, size):
@@ -263,8 +234,7 @@ class ActivityGenerator:
                     ForumMembership(group.id, member.id, join))
         return group, members
 
-    def _make_album(self, stream, owner, resolve, friends,
-                    memberships):
+    def _make_album(self, stream, owner, friends, memberships):
         creation = owner.creation_date + stream.randint(
             MILLIS_PER_DAY, 200 * MILLIS_PER_DAY)
         creation = self.config.window.clamp(creation)
@@ -278,7 +248,7 @@ class ActivityGenerator:
             join = max(creation, friendship_date) + MILLIS_PER_HOUR
             if join >= self.config.window.end:
                 continue
-            members.append(_Membership(resolve(friend_id), join))
+            members.append(_Membership(self._person_by_id[friend_id], join))
             memberships.append(ForumMembership(album.id, friend_id, join))
         return album, members
 
@@ -463,7 +433,7 @@ class ActivityGenerator:
                 continue
             when = draft.creation_date + 1 + int(
                 stream.exponential(_LIKE_LAG_MEAN))
-            stranger = self._resolve(candidate)
+            stranger = self._person_by_id[candidate]
             if stranger.creation_date > draft.creation_date:
                 continue  # the stranger had not joined the network yet
             if when < self.config.window.end:
@@ -512,10 +482,9 @@ def finalize_activity(forums, memberships, drafts) -> ActivityResult:
     selections — we reproduce that property here, which is nontrivial
     because generation happens in owner order, not time order.
 
-    This is also the sequential stitch of the parallel activity stage:
-    the sorts below are stable and generation order only breaks their
-    ties, so worker outputs concatenated in owner-serial order finalize
-    into exactly the serial run's entities.
+    The sorts below are stable and generation order only breaks their
+    ties, so the entities do not depend on the order owners were
+    generated in.
     """
     posts_drafts = sorted((d for d in drafts if d.is_post),
                           key=lambda d: (d.creation_date, d.author_id))

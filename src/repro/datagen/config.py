@@ -19,56 +19,6 @@ from ..sim_time import DEFAULT_WINDOW, SimulationWindow
 _PERSONS_COEFFICIENT = 10000.0
 _PERSONS_EXPONENT = 0.849
 
-#: Start methods accepted by :class:`ParallelConfig`.
-_START_METHODS = ("spawn", "fork", "forkserver")
-
-
-@dataclass
-class ParallelConfig:
-    """Knobs of the process-parallel execution layer (``--jobs``).
-
-    ``jobs`` is the number of *real* worker processes the pipeline may
-    use; it is distinct from :attr:`DatagenConfig.num_workers`, which
-    only emulates cluster width for the serial path and the Amdahl
-    projection.  Neither knob may change the generated network — the
-    paper's determinism-regardless-of-cluster-shape property, and the
-    invariance tests assert it for both.
-    """
-
-    #: Worker processes; 1 means the in-process serial path.
-    jobs: int = 1
-    #: ``multiprocessing`` start method.  ``spawn`` is the safe default
-    #: everywhere (no inherited locks/threads); ``fork`` starts faster
-    #: on Linux when the parent is known to be single-threaded.
-    start_method: str = "spawn"
-    #: Tasks submitted per worker per stage — >1 gives the pool slack to
-    #: balance skewed task costs (hub owners dominate activity chunks).
-    tasks_per_worker: int = 4
-    #: Smallest number of items (persons, sweep positions, forum owners)
-    #: worth shipping as one task.
-    min_chunk: int = 16
-    #: Fall back to the serial path when the pool cannot be created
-    #: (sandboxed platforms, broken start methods).  When False, pool
-    #: creation errors propagate.
-    fallback_serial: bool = True
-    #: Seconds a single task may run before the run is declared hung.
-    #: Caps pool deadlocks: CI fails fast instead of timing out the job.
-    task_timeout: float = 300.0
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise DatagenError("parallel jobs must be >= 1")
-        if self.start_method not in _START_METHODS:
-            raise DatagenError(
-                f"unknown start method {self.start_method!r}; "
-                f"expected one of {_START_METHODS}")
-        if self.tasks_per_worker < 1:
-            raise DatagenError("tasks_per_worker must be >= 1")
-        if self.min_chunk < 1:
-            raise DatagenError("min_chunk must be >= 1")
-        if self.task_timeout <= 0:
-            raise DatagenError("task_timeout must be positive")
-
 
 def persons_for_scale_factor(scale_factor: float) -> int:
     """Person count for a given scale factor (paper Table 3 power-law fit)."""
@@ -90,22 +40,13 @@ class DatagenConfig:
     """All knobs of the data generator.
 
     The output of :func:`repro.datagen.pipeline.generate` is a pure function
-    of this configuration; in particular it does **not** depend on
-    ``num_workers`` (emulated cluster width) or on ``parallel.jobs``
-    (real worker processes) — the paper: "we have paid specific
-    attention to making data generation deterministic".
+    of this configuration — the paper: "we have paid specific attention
+    to making data generation deterministic".
     """
 
     num_persons: int = 300
     seed: int = 42
     window: SimulationWindow = field(default_factory=lambda: DEFAULT_WINDOW)
-    #: Emulated number of parallel workers (Hadoop mappers); must not
-    #: change the output.  Drives the serial path's round-robin chunk
-    #: interleaving and the Amdahl projection only.
-    num_workers: int = 1
-    #: Real process-parallel execution (``--jobs``); must not change the
-    #: output either.
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     #: Enable event-driven spiking post generation (Fig. 2a).  When off,
     #: post timestamps are uniform over each person's active period.
     event_driven_posts: bool = True
@@ -149,8 +90,6 @@ class DatagenConfig:
     def __post_init__(self) -> None:
         if self.num_persons < 2:
             raise DatagenError("need at least 2 persons")
-        if self.num_workers < 1:
-            raise DatagenError("num_workers must be >= 1")
         if abs(sum(self.dimension_shares) - 1.0) > 1e-9:
             raise DatagenError("dimension shares must sum to 1")
         if not 0 < self.window_geometric_p < 1:

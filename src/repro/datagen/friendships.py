@@ -16,31 +16,15 @@ degree drawn from the scaled Facebook distribution
 (:mod:`repro.datagen.degrees`); the per-pass budgets split it 45% / 45% /
 10% across the three dimensions.
 
-Parallel execution
-------------------
-
-The window sweep of a pass mutates shared state (pass budgets, the global
-edge set), so it cannot be split naively.  It *is* almost local, though:
-a person only ever reads the budgets of the ≤ ``friendship_window``
-persons ahead of it and membership of the specific edge keys it draws.
-The parallel path exploits that with **speculative block execution**
-(DESIGN.md §4f): sort-order positions are cut into blocks, every block is
-swept in a worker process under the *pass-start* state while recording a
-read log per person (own starting budget, each candidate's
-budget-positivity, each tested edge key), and the parent then stitches
-blocks back in serial order — a person whose recorded reads all match the
-live state commits its pre-built edges verbatim; any mismatched person is
-re-swept in-process against the live state.  Because every person draws
-from its own keyed random stream, a validated speculation is *exactly*
-the serial computation, and a re-sweep is exact by construction — so the
-merged edge list is byte-identical to the serial run for any job count.
+Each pass is one sequential sweep in sort order: a person's sweep reads
+the pass budgets and the edge set as the earlier persons left them, so
+the order of the sweeps is part of the output.  Every person draws from
+its own keyed random stream, so the sweep is a pure function of the
+config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .. import telemetry
 from ..ids import EntityKind, make_id, serial_of
 from ..rng import RandomStream
 from ..schema.entities import Knows, Person
@@ -102,140 +86,17 @@ def _edge_creation_date(stream: RandomStream, window: SimulationWindow,
     return min(base + lag, window.end - 1)
 
 
-@dataclass
-class PersonSweep:
-    """Outcome of one person's window sweep (plus its read log).
-
-    The read log makes speculative sweeps checkable: an entry
-    ``(other, had_budget, edge_known)`` records, per state-touching
-    attempt, which candidate was probed and what the sweep observed.
-    ``edge_known`` is only meaningful when ``had_budget`` is True (the
-    serial code short-circuits the edge-set probe otherwise).
-    """
-
-    serial: int
-    position: int
-    start_budget: int
-    reads: list[tuple[int, bool, bool]] = field(default_factory=list)
-    edges: list[Knows] = field(default_factory=list)
-    #: Partner serial for each made edge, aligned with ``edges``.
-    partners: list[int] = field(default_factory=list)
-
-
-def sweep_person(config: DatagenConfig, pass_index: int, serial: int,
-                 position: int, order, base: int, total: int, date_of,
-                 start_budget: int, budget_of, edge_known,
-                 record: bool = False) -> PersonSweep:
-    """Run one person's sliding-window sweep.
-
-    Shared by the serial pass, the worker-side block speculation, and
-    the parent-side re-sweep of invalidated speculations, so all three
-    consume the person's keyed random stream identically.
-
-    ``order`` may be a slice of the full sort order starting at global
-    position ``base`` (workers ship the block plus a window-sized halo);
-    ``total`` is always the full pass length.  ``budget_of(serial)`` and
-    ``edge_known(key)`` expose the caller's state *excluding* this
-    person's own writes — the sweep tracks those internally, exactly as
-    the historical in-place implementation did.
-    """
-    sweep = PersonSweep(serial, position, start_budget)
-    if start_budget <= 0:
-        return sweep
-    stream = RandomStream.for_key(config.seed, "friend", pass_index, serial)
-    person_id = make_id(EntityKind.PERSON, serial)
-    window = config.friendship_window
-    own_decrements: dict[int, int] = {}
-    own_keys: set[tuple[int, int]] = set()
-    made = 0
-    attempts = 0
-    max_attempts = start_budget * _ATTEMPTS_PER_EDGE
-    while made < start_budget and attempts < max_attempts:
-        attempts += 1
-        offset = 1 + stream.geometric(config.window_geometric_p)
-        if offset > window:
-            continue  # probability is zero outside the window
-        candidate_position = position + offset
-        if candidate_position >= total:
-            continue
-        other = order[candidate_position - base]
-        has_budget = (budget_of(other)
-                      - own_decrements.get(other, 0)) > 0
-        if not has_budget:
-            if record:
-                sweep.reads.append((other, False, False))
-            continue
-        other_id = make_id(EntityKind.PERSON, other)
-        key = ((person_id, other_id) if person_id < other_id
-               else (other_id, person_id))
-        known = key in own_keys or edge_known(key)
-        if record:
-            sweep.reads.append((other, True, known))
-        if known:
-            continue
-        creation = _edge_creation_date(stream, config.window,
-                                       date_of(serial), date_of(other))
-        sweep.edges.append(Knows(key[0], key[1], creation, pass_index))
-        sweep.partners.append(other)
-        own_keys.add(key)
-        own_decrements[other] = own_decrements.get(other, 0) + 1
-        made += 1
-    return sweep
-
-
-def speculate_block(config: DatagenConfig, payload: dict) -> list[PersonSweep]:
-    """Worker side of a parallel pass: sweep one block under assumed state.
-
-    ``payload`` carries the block's slice of the sort order (with its
-    window halo), the pass budgets and creation dates of every slice
-    person, and the already-known edge keys among them — a snapshot of
-    the pass-start state.  The block is swept sequentially under that
-    snapshot with read recording on; the parent validates the logs
-    against the live state when it stitches blocks back together.
-    """
-    pass_index = payload["pass_index"]
-    start = payload["start"]
-    order_slice = payload["order"]
-    budgets = dict(payload["budgets"])
-    dates = payload["dates"]
-    known: set[tuple[int, int]] = set(payload["known"])
-    total = payload["total"]
-    sweeps: list[PersonSweep] = []
-    for rel in range(payload["block_len"]):
-        serial = order_slice[rel]
-        sweep = sweep_person(
-            config, pass_index, serial, start + rel, order_slice, start,
-            total, dates.__getitem__, budgets[serial],
-            budgets.__getitem__, known.__contains__, record=True)
-        for partner, knows in zip(sweep.partners, sweep.edges):
-            budgets[serial] -= 1
-            budgets[partner] -= 1
-            known.add((knows.person1_id, knows.person2_id))
-        sweeps.append(sweep)
-    return sweeps
-
-
 class FriendshipGenerator:
     """Runs the three sliding-window passes and accumulates knows edges."""
 
     def __init__(self, config: DatagenConfig, universe: Universe) -> None:
         self.config = config
         self.universe = universe
-        #: Speculation accounting of the last ``generate`` call.
-        self.committed_speculations = 0
-        self.reswept_speculations = 0
 
-    def generate(self, persons: list[Person],
-                 executor=None) -> list[Knows]:
-        """Produce the friendship edge list for the given persons.
-
-        With an ``executor`` (see :mod:`repro.datagen.parallel`) the
-        window sweeps run speculatively in worker processes; the output
-        is identical either way.
-        """
+    def generate(self, persons: list[Person]) -> list[Knows]:
+        """Produce the friendship edge list for the given persons."""
         config = self.config
         n = len(persons)
-        self._ids = [p.id for p in persons]
         self._dates = [p.creation_date for p in persons]
         targets = [target_degree(serial_of(p.id), n, config.seed)
                    for p in persons]
@@ -246,8 +107,6 @@ class FriendshipGenerator:
                            for t in targets]
         self._edges: list[Knows] = []
         self._edge_set: set[tuple[int, int]] = set()
-        #: serial → set of partner serials (for block state snapshots).
-        self._neighbors: dict[int, set[int]] = {}
 
         for pass_index in range(3):
             order = sorted(
@@ -255,131 +114,62 @@ class FriendshipGenerator:
                 key=lambda i: (sort_key_for_pass(persons[i], pass_index,
                                                  self.universe, config.seed),
                                serial_of(persons[i].id)))
-            if executor is not None:
-                self._run_pass_parallel(pass_index, order, executor)
-            else:
-                self._run_pass(pass_index, order)
+            for position in range(n):
+                self.sweep_person(pass_index, order, position)
         edges = self._edges
         edges.sort(key=lambda e: (e.creation_date, e.person1_id,
                                   e.person2_id))
         return edges
 
-    # ------------------------------------------------------------------
-    # serial path
-    # ------------------------------------------------------------------
+    def sweep_person(self, pass_index: int, order: list[int],
+                     position: int) -> None:
+        """Run one person's sliding-window sweep against the live state.
 
-    def _run_pass(self, pass_index: int, order: list[int]) -> None:
-        """One sliding-window pass over persons in correlation-key order."""
-        n = len(order)
-        for position, serial in enumerate(order):
-            budget = self._remaining[serial][pass_index]
-            if budget <= 0:
+        The person at ``order[position]`` jumps a geometric distance
+        ahead in sort order and befriends the candidate there while both
+        still have pass budget and the edge is new; every edge is
+        applied at once, so later attempts (and later persons) see it.
+        """
+        config = self.config
+        serial = order[position]
+        budgets = self._remaining
+        budget = budgets[serial][pass_index]
+        if budget <= 0:
+            return
+        stream = RandomStream.for_key(config.seed, "friend", pass_index,
+                                      serial)
+        person_id = make_id(EntityKind.PERSON, serial)
+        window = config.friendship_window
+        total = len(order)
+        made = 0
+        attempts = 0
+        max_attempts = budget * _ATTEMPTS_PER_EDGE
+        while made < budget and attempts < max_attempts:
+            attempts += 1
+            offset = 1 + stream.geometric(config.window_geometric_p)
+            if offset > window:
+                continue  # probability is zero outside the window
+            if position + offset >= total:
                 continue
-            sweep = sweep_person(
-                self.config, pass_index, serial, position, order, 0, n,
-                self._dates.__getitem__, budget,
-                lambda other: self._remaining[other][pass_index],
-                self._edge_set.__contains__)
-            self._apply(sweep, pass_index)
-
-    def _apply(self, sweep: PersonSweep, pass_index: int) -> None:
-        """Commit one person's sweep to the live pass state."""
-        for partner, knows in zip(sweep.partners, sweep.edges):
-            self._edges.append(knows)
-            self._edge_set.add((knows.person1_id, knows.person2_id))
-            self._remaining[sweep.serial][pass_index] -= 1
-            self._remaining[partner][pass_index] -= 1
-            self._neighbors.setdefault(sweep.serial, set()).add(partner)
-            self._neighbors.setdefault(partner, set()).add(sweep.serial)
-
-    # ------------------------------------------------------------------
-    # parallel path: speculative blocks, sequential stitch
-    # ------------------------------------------------------------------
-
-    def _run_pass_parallel(self, pass_index: int, order: list[int],
-                           executor) -> None:
-        n = len(order)
-        window = self.config.friendship_window
-        blocks = executor.partition(n)
-        payloads = []
-        for start, end in blocks:
-            order_slice = order[start:min(end + window, n)]
-            reach = set(order_slice)
-            known: set[tuple[int, int]] = set()
-            for serial in order_slice:
-                for partner in self._neighbors.get(serial, ()):
-                    if serial < partner and partner in reach:
-                        known.add((self._ids[serial], self._ids[partner]))
-            payloads.append({
-                "pass_index": pass_index,
-                "start": start,
-                "block_len": end - start,
-                "order": order_slice,
-                "total": n,
-                "budgets": {s: self._remaining[s][pass_index]
-                            for s in order_slice},
-                "dates": {s: self._dates[s] for s in order_slice},
-                "known": known,
-            })
-        results = executor.run_tasks(
-            "friendship_block", payloads,
-            span_name=f"datagen.friendships.pass{pass_index}")
-        committed = reswept = 0
-        for sweeps in results:
-            for sweep in sweeps:
-                if self._validate(sweep, pass_index):
-                    self._apply(sweep, pass_index)
-                    committed += 1
-                else:
-                    fresh = sweep_person(
-                        self.config, pass_index, sweep.serial,
-                        sweep.position, order, 0, n,
-                        self._dates.__getitem__,
-                        self._remaining[sweep.serial][pass_index],
-                        lambda other: self._remaining[other][pass_index],
-                        self._edge_set.__contains__)
-                    self._apply(fresh, pass_index)
-                    reswept += 1
-        self.committed_speculations += committed
-        self.reswept_speculations += reswept
-        telemetry.counter("datagen.friendships.speculation.committed") \
-            .inc(committed)
-        if reswept:
-            telemetry.counter("datagen.friendships.speculation.reswept") \
-                .inc(reswept)
-
-    def _validate(self, sweep: PersonSweep, pass_index: int) -> bool:
-        """Would the serial sweep have observed exactly what this
-        speculation recorded?  Simulates the sweep's own writes so later
-        reads of the same candidate see its earlier decrements."""
-        if self._remaining[sweep.serial][pass_index] != sweep.start_budget:
-            return False
-        person_id = self._ids[sweep.serial]
-        own_decrements: dict[int, int] = {}
-        own_keys: set[tuple[int, int]] = set()
-        for other, had_budget, edge_known in sweep.reads:
-            actual_budget = (self._remaining[other][pass_index]
-                             - own_decrements.get(other, 0)) > 0
-            if actual_budget != had_budget:
-                return False
-            if not had_budget:
+            other = order[position + offset]
+            if budgets[other][pass_index] <= 0:
                 continue
-            other_id = self._ids[other]
+            other_id = make_id(EntityKind.PERSON, other)
             key = ((person_id, other_id) if person_id < other_id
                    else (other_id, person_id))
-            actual_known = key in own_keys or key in self._edge_set
-            if actual_known != edge_known:
-                return False
-            if not edge_known:
-                own_keys.add(key)
-                own_decrements[other] = own_decrements.get(other, 0) + 1
-                own_decrements[sweep.serial] = \
-                    own_decrements.get(sweep.serial, 0) + 1
-        return True
+            if key in self._edge_set:
+                continue
+            creation = _edge_creation_date(stream, config.window,
+                                           self._dates[serial],
+                                           self._dates[other])
+            self._edges.append(Knows(key[0], key[1], creation, pass_index))
+            self._edge_set.add(key)
+            budgets[serial][pass_index] -= 1
+            budgets[other][pass_index] -= 1
+            made += 1
 
 
 def generate_friendships(config: DatagenConfig, universe: Universe,
-                         persons: list[Person],
-                         executor=None) -> list[Knows]:
+                         persons: list[Person]) -> list[Knows]:
     """Convenience wrapper over :class:`FriendshipGenerator`."""
-    return FriendshipGenerator(config, universe).generate(persons, executor)
+    return FriendshipGenerator(config, universe).generate(persons)

@@ -1,29 +1,20 @@
 """DATAGEN pipeline: person → friendship → activity stages (paper §2.4).
 
-The original generator runs as three groups of MapReduce jobs.  Here the
-stages run in-process by default, but the structure (and the determinism
-guarantee) is preserved:
+The original generator runs as three groups of MapReduce jobs on a Hadoop
+cluster.  Here the three stages run one after another in one process, in
+a fixed draw order, so the output is a pure function of the config:
 
-* **person generation** is embarrassingly parallel per person serial;
+* **person generation** is a pure function of each person serial;
 * **friendship generation** is "a succession of stages, each of them based
   on a different correlation dimension", each a sort followed by a
   sequential sliding-window sweep;
-* **person activity generation** is parallel per forum owner.
+* **person activity generation** is keyed per forum owner.
 
-With ``config.parallel.jobs > 1`` the three parallelizable stages really
-do run across worker processes (:mod:`repro.datagen.parallel`): persons
-chunked by serial range, friendship sweeps as speculative blocks with a
-sequential validate-and-stitch, activity by owner range with the
-time-ordered id assignment as the stitch.  The output is byte-identical
-to the serial run for any job count — the invariance tests assert it.
-
-``config.num_workers`` separately emulates cluster *width* for Fig. 3b:
-the pipeline records, per stage, how much of the work is partitionable,
-and :meth:`DatagenTimings.projected_seconds` projects multi-node runtimes
-the way the paper reports them (sort/sequential parts scale; per-item
-parts divide by the worker count).  The measured counterpart is
-``benchmarks/bench_figure3b_datagen_scaleup.py``, which times real runs
-at several ``--jobs`` values.
+The paper's Fig. 3b scale-up belongs to the cluster.  The pipeline
+records, per stage, its wall time and how much of it would partition
+over workers, and :meth:`DatagenTimings.projected_seconds` turns those
+serial measurements into an Amdahl projection for ``n`` nodes
+(``benchmarks/bench_figure3b_datagen_scaleup.py``).
 """
 
 from __future__ import annotations
@@ -33,13 +24,12 @@ from dataclasses import dataclass, field
 
 from .. import telemetry
 from ..schema.dataset import SocialNetwork
-from .activity import ActivityGenerator, finalize_activity
+from .activity import ActivityGenerator
 from .config import DatagenConfig
 from .dictionaries import Dictionaries
 from .events import EventCalendar
 from .friendships import generate_friendships
-from .parallel import DatagenExecutor
-from .persons import generate_person
+from .persons import generate_persons
 from .universe import build_universe
 
 
@@ -63,15 +53,15 @@ class DatagenTimings:
     def total_seconds(self) -> float:
         return sum(stage.seconds for stage in self.stages)
 
-    def projected_seconds(self, num_workers: int) -> float:
-        """Amdahl projection of the run on ``num_workers`` nodes."""
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
+    def projected_seconds(self, nodes: int) -> float:
+        """Amdahl projection of the run on ``nodes`` nodes."""
+        if nodes < 1:
+            raise ValueError("nodes must be >= 1")
         total = 0.0
         for stage in self.stages:
             parallel = stage.seconds * stage.parallel_fraction
             serial = stage.seconds - parallel
-            total += serial + parallel / num_workers
+            total += serial + parallel / nodes
         return total
 
 
@@ -86,44 +76,28 @@ class DatagenPipeline:
         """Generate the network; timings are recorded on ``self.timings``."""
         config = self.config
         dictionaries = Dictionaries(config.seed)
-        executor = DatagenExecutor.create(config)
-        jobs = executor.jobs if executor is not None else 1
-        try:
-            started = time.perf_counter()
-            universe = build_universe(dictionaries)
-            self._record("universe", started, parallel_fraction=0.0,
-                         jobs=1)
 
-            started = time.perf_counter()
-            persons = self._generate_persons(dictionaries, universe,
-                                             executor)
-            self._record("persons", started, parallel_fraction=1.0,
-                         jobs=jobs)
+        started = time.perf_counter()
+        universe = build_universe(dictionaries)
+        self._record("universe", started, parallel_fraction=0.0)
 
-            started = time.perf_counter()
-            knows = generate_friendships(config, universe, persons,
-                                         executor)
-            # The three passes are dominated by the per-person window
-            # sweeps, which partition over workers; the sorts are the
-            # serial part.
-            self._record("friendships", started, parallel_fraction=0.8,
-                         jobs=jobs)
+        started = time.perf_counter()
+        persons = generate_persons(config, dictionaries, universe)
+        self._record("persons", started, parallel_fraction=1.0)
 
-            started = time.perf_counter()
-            calendar = EventCalendar.generate(config, universe)
-            adjacency = _adjacency(persons, knows)
-            generator = ActivityGenerator(config, dictionaries, universe,
-                                          calendar)
-            if executor is not None:
-                activity = self._generate_activity_parallel(
-                    generator, persons, adjacency, executor)
-            else:
-                activity = generator.generate(persons, adjacency)
-            self._record("activity", started, parallel_fraction=0.95,
-                         jobs=jobs)
-        finally:
-            if executor is not None:
-                executor.close()
+        started = time.perf_counter()
+        knows = generate_friendships(config, universe, persons)
+        # The three passes are dominated by the per-person window sweeps,
+        # which would partition over workers; the sorts are the serial
+        # part.
+        self._record("friendships", started, parallel_fraction=0.8)
+
+        started = time.perf_counter()
+        calendar = EventCalendar.generate(config, universe)
+        adjacency = _adjacency(persons, knows)
+        activity = ActivityGenerator(config, dictionaries, universe,
+                                     calendar).generate(persons, adjacency)
+        self._record("activity", started, parallel_fraction=0.95)
 
         return SocialNetwork(
             persons=persons,
@@ -139,58 +113,8 @@ class DatagenPipeline:
             organisations=list(universe.organisations),
         )
 
-    def _generate_persons(self, dictionaries, universe, executor=None):
-        """Person stage: chunked over workers, merged in serial order.
-
-        With an executor, serial ranges run in worker processes and the
-        ordered results concatenate back into serial order.  The
-        in-process path emulates a ``num_workers``-wide cluster instead:
-        chunks are processed round-robin (one person from each chunk per
-        round, as interleaved mapper output would arrive) and merged by
-        serial — the output is identical for any worker count, and the
-        determinism test exercises exactly this reordering.
-        """
-        config = self.config
-        if executor is not None:
-            blocks = executor.partition(config.num_persons)
-            results = executor.run_tasks("persons", blocks,
-                                         span_name="datagen.persons.block")
-            return [person for block in results for person in block]
-        chunk_size = max(1, -(-config.num_persons // config.num_workers))
-        chunks = [range(start, min(start + chunk_size, config.num_persons))
-                  for start in range(0, config.num_persons, chunk_size)]
-        by_serial = {}
-        for round_index in range(chunk_size):
-            for chunk in chunks:
-                if round_index >= len(chunk):
-                    continue
-                serial = chunk[round_index]
-                by_serial[serial] = generate_person(serial, config,
-                                                    dictionaries, universe)
-        return [by_serial[serial] for serial in range(config.num_persons)]
-
-    def _generate_activity_parallel(self, generator, persons, adjacency,
-                                    executor):
-        """Activity stage over owner ranges; finalize is the stitch."""
-        payloads = []
-        for start, end in executor.partition(len(persons)):
-            owners = persons[start:end]
-            payloads.append({
-                "owners": owners,
-                "adjacency": {p.id: adjacency.get(p.id, [])
-                              for p in owners},
-            })
-        results = executor.run_tasks("activity", payloads,
-                                     span_name="datagen.activity.block")
-        forums, memberships, drafts = [], [], []
-        for block_forums, block_memberships, block_drafts in results:
-            forums.extend(block_forums)
-            memberships.extend(block_memberships)
-            drafts.extend(block_drafts)
-        return finalize_activity(forums, memberships, drafts)
-
     def _record(self, name: str, started: float,
-                parallel_fraction: float, jobs: int = 1) -> None:
+                parallel_fraction: float) -> None:
         ended = time.perf_counter()
         elapsed = ended - started
         self.timings.stages.append(StageTiming(name, elapsed,
@@ -199,8 +123,7 @@ class DatagenPipeline:
             # Stages time themselves (perf_counter, the tracer's clock),
             # so they export as pre-timed spans.
             telemetry.add_span("datagen." + name, started, ended,
-                               parallel_fraction=parallel_fraction,
-                               jobs=jobs)
+                               parallel_fraction=parallel_fraction)
 
 
 def _adjacency(persons, knows) -> dict[int, list[tuple[int, int]]]:

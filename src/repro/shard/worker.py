@@ -1,11 +1,11 @@
 """The shard worker process: one store partition behind a pipe.
 
-Spawn-safety follows the :mod:`repro.datagen.parallel` idiom: the
-worker entry point and everything it touches are module-level, and the
-whole configuration (the shard's pre-partitioned bulk slice, the fault
-plan, the durability settings) arrives as picklable process arguments —
-nothing is inherited from parent interpreter state, so ``spawn``,
-``fork`` and ``forkserver`` all work.
+Spawn-safety rule: the worker entry point and everything it touches
+are module-level, the whole configuration (the shard's pre-partitioned
+bulk slice, the fault plan, the durability settings) arrives as
+picklable process arguments, and nothing is inherited from parent
+interpreter state — so ``spawn``, ``fork`` and ``forkserver`` all
+work.
 
 The worker is deliberately *serial*: it owns a local
 :class:`~repro.store.graph.GraphStore` holding only the vertices and

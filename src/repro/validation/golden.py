@@ -56,11 +56,9 @@ def _golden_plan(split: SplitDataset, header: dict):
                       snapshot_every=header["snapshot_every"])
 
 
-def _regenerate(header: dict, jobs: int = 1) -> SplitDataset:
-    from ..datagen.config import ParallelConfig
+def _regenerate(header: dict) -> SplitDataset:
     network = generate(DatagenConfig(num_persons=header["persons"],
-                                     seed=header["seed"],
-                                     parallel=ParallelConfig(jobs=jobs)))
+                                     seed=header["seed"]))
     return split_network(network)
 
 
@@ -162,7 +160,7 @@ class GoldenCheckReport:
 def check_golden(path: str, sut_name: str = "store",
                  shrink_on_mismatch: bool = True,
                  max_mismatches: int = 5,
-                 jobs: int = 1, shards: int = 2) -> GoldenCheckReport:
+                 shards: int = 2) -> GoldenCheckReport:
     """Replay a golden dataset against one SUT and diff expectations.
 
     The shrink pass replays candidates against the *recorded*
@@ -171,10 +169,6 @@ def check_golden(path: str, sut_name: str = "store",
     shrunk prefix is a strong hint, since dropping updates can change
     the expected result legitimately.  Checkpoint failures are never
     shrunk for the same reason.
-
-    ``jobs`` regenerates the network process-parallel; goldens were
-    recorded from serial runs, so a passing check doubles as a
-    determinism proof for the parallel path.
 
     ``sut_name="sharded"`` replays against the multi-process sharded
     store (``shards`` workers): goldens were recorded single-process,
@@ -193,7 +187,7 @@ def check_golden(path: str, sut_name: str = "store",
 
     if sut_name != "sharded":
         shards = 0  # ``shards`` sizes the sharded replay only
-    split = _regenerate(header, jobs=jobs)
+    split = _regenerate(header)
     sut = load_sut(sut_name, split.bulk, shards=shards)
 
     report = GoldenCheckReport(sut=sut_name)

@@ -65,10 +65,6 @@ class TestDatagenConfig:
         with pytest.raises(DatagenError):
             DatagenConfig(num_persons=1)
 
-    def test_rejects_bad_workers(self):
-        with pytest.raises(DatagenError):
-            DatagenConfig(num_workers=0)
-
     def test_rejects_bad_shares(self):
         with pytest.raises(DatagenError):
             DatagenConfig(dimension_shares=(0.5, 0.5, 0.5))
