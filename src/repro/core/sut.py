@@ -10,8 +10,9 @@ Both extend :class:`BaseSUT`, which owns the dispatch over the typed
 operation union and the telemetry span bracketing; subclasses implement
 the three private hooks.  The historical ``run_complex`` /
 ``run_short`` / ``run_update`` deprecation shims are gone: ``execute``
-over the typed operation union is the only entry point, and — via
-:mod:`repro.net.codec` — its canonical serialized form on the wire.
+over the typed operation union is the only entry point; on the wire
+:mod:`repro.net.codec` carries each operation and result positionally
+(``[class index, *fields]``) over its sealed type registry.
 """
 
 from __future__ import annotations

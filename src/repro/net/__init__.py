@@ -4,10 +4,11 @@ The paper's driver measures latency-under-load against a SUT running as
 a network service, not an in-process library.  This package supplies
 that boundary without changing anything above it:
 
-* :mod:`repro.net.codec` — a versioned, length-prefixed JSON wire codec
-  over a type registry covering every operation and result shape of the
-  unified ``execute(op) -> OperationResult`` API (the codec is the
-  canonical serialized form of that API);
+* :mod:`repro.net.codec` — length-prefixed JSON frames whose bodies are
+  positional (``[class index, *fields]``) over a sealed type registry
+  covering every operation and result shape of the unified
+  ``execute(op) -> OperationResult`` API, stamped with a version derived
+  from that registry's schema;
 * :mod:`repro.net.admission` — pre-flight cost estimation reusing the
   engine's cardinality estimator, so runaway traversals are refused
   before execution;

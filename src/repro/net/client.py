@@ -40,6 +40,7 @@ import socket
 import threading
 import time
 
+from ..core.operation import Update, as_operation
 from ..driver.resilience import raise_if_abandoned
 from ..errors import (
     FatalSUTError,
@@ -211,14 +212,11 @@ class RemoteConnector:
 
     def execute(self, operation):
         """Run one operation remotely; returns its OperationResult."""
-        from ..core.operation import Update, as_operation
-
         # An attempt the watchdog already abandoned must not reach the
         # wire at all — the retry owns the operation now.
         raise_if_abandoned()
         op = as_operation(operation)
-        request = {"v": codec.PROTOCOL_VERSION, "kind": "execute",
-                   "op": codec.encode_operation(op)}
+        request = {"kind": "execute", "op": codec.encode_operation(op)}
         if isinstance(op, Update):
             # Derived from the stream item's own fields, so every retry
             # of one update carries the same key and the server's dedup
@@ -241,8 +239,7 @@ class RemoteConnector:
 
     def _admin(self, action: str) -> dict:
         response = self._round_trip(
-            {"v": codec.PROTOCOL_VERSION, "kind": "admin",
-             "action": action})
+            {"kind": "admin", "action": action})
         return response["value"]
 
     # -- plumbing ----------------------------------------------------------

@@ -1,32 +1,30 @@
 """The versioned, length-prefixed JSON wire codec.
 
-One frame = a 4-byte big-endian length prefix followed by that many
-bytes of UTF-8 JSON.  Every message embeds the protocol version
-(``"v": 1``); a reader that sees any other version rejects the message
-without guessing at its shape.
+One frame = a 4-byte big-endian length prefix + UTF-8 JSON: an envelope
+object (``kind``, ``id``, ...) stamped with the protocol version
+``"v"``, carrying at most one positional body (an operation or a
+result).  Any other version is refused without guessing at the shape.
 
-Values inside a message (operation parameters, update payloads, query
-results) are encoded over an explicit **type registry**: every
-dataclass and enum that may legally cross the wire — the typed
-operation union, the 14 complex-read parameter/result classes, the 7
-short-read results, the schema entities carried by update payloads —
-is registered by class name at import time.  Decoding reconstructs the
-*exact* dataclass, so structural consumers (the short-read random
-walk's attribute probing, the validation canonicalizer, the state
-snapshotters) behave identically on both sides of the wire.  Types
-outside the registry are refused at encode time, and unknown tags are
-refused at decode time: the registry is an allowlist, never an
-``eval``.
-
-Encoded value forms::
+Bodies are encoded over a **type registry** of every dataclass and enum
+that may cross the wire (the operation union, Q1–Q14 params/results,
+S1–S7 results, the entities in update payloads), sealed at import in
+sorted-name order, which fixes each class's index.  Decoding rebuilds
+the *exact* dataclass, so the random walk and the validation
+canonicalizer behave identically on both sides.  Unregistered types
+are refused at encode time, unknown tags, indices and field counts at
+decode time: an allowlist, never an ``eval``.  Body forms::
 
     null / bool / number / string      as themselves
-    list                               as a JSON array
-    tuple                              {"__k": "tuple", "v": [...]}
-    dict                               {"__k": "map",   "v": [[k, v], ...]}
-    EntityRef                          {"__k": "ref",   "v": [kind, id]}
-    Enum member                        {"__k": "enum",  "t": name, "v": member}
-    dataclass                          {"__k": "dc",    "t": name, "v": {...}}
+    list / tuple                       [0, *items] / [1, *items]
+    dict                               [2, key, value, key, value, ...]
+    Enum member                        [class index, member position]
+    dataclass (EntityRef too)          [class index, *fields in order]
+
+A body names no fields, so both peers must hold the same registry:
+:data:`PROTOCOL_VERSION` is ``"2."`` + 16 bits of a CRC-32 of the sealed
+schema (class names in index order, their field or member names), kept
+short because every frame carries it.  A peer built from another schema
+speaks another version and is refused.
 """
 
 from __future__ import annotations
@@ -34,19 +32,22 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from itertools import chain
+import operator
 import struct
+import zlib
 
+from ..core.operation import (
+    ComplexRead, OperationResult, ShortRead, Update, as_operation,
+)
 from ..errors import ReproError
-from ..workload.operations import EntityRef
-
-#: Version stamped into (and required of) every message envelope.
-PROTOCOL_VERSION = 1
 
 #: Hard upper bound on one frame; a length prefix beyond this is treated
 #: as a corrupt or hostile stream, not a large message.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 class CodecError(ReproError):
@@ -72,35 +73,27 @@ class FrameTooLargeError(CodecError):
 _REGISTRY: dict[str, type] = {}
 
 
-def register(cls: type) -> type:
-    """Allowlist one dataclass or enum for wire transport."""
-    name = cls.__name__
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise CodecError(
-            f"wire-type name collision: {name} is both "
-            f"{existing.__module__} and {cls.__module__}")
-    _REGISTRY[name] = cls
-    return cls
-
-
 def registered_types() -> dict[str, type]:
     """A copy of the registry (tests assert coverage against this)."""
     return dict(_REGISTRY)
 
 
 def _register_module(module) -> None:
-    """Register every dataclass and enum *defined in* a module."""
-    for value in vars(module).values():
-        if not isinstance(value, type) \
-                or value.__module__ != module.__name__:
+    """Allowlist every dataclass and enum *defined in* a module."""
+    for cls in vars(module).values():
+        if not isinstance(cls, type) or cls.__module__ != module.__name__ \
+                or not (dataclasses.is_dataclass(cls)
+                        or issubclass(cls, enum.Enum)):
             continue
-        if dataclasses.is_dataclass(value) \
-                or issubclass(value, enum.Enum):
-            register(value)
+        existing = _REGISTRY.setdefault(cls.__name__, cls)
+        if existing is not cls:
+            raise CodecError(
+                f"wire-type name collision: {cls.__name__} is both "
+                f"{existing.__module__} and {cls.__module__}")
 
 
-def _populate_registry() -> None:
+def _seal() -> str:
+    """Register, index by sorted name, fill the tables, stamp the schema."""
     from ..core import operation as core_operation
     from ..datagen import update_stream
     from ..queries import short_reads
@@ -116,131 +109,146 @@ def _populate_registry() -> None:
                    q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12,
                    q13, q14, dataset, entities, workload_operations):
         _register_module(module)
+    classes = [_REGISTRY[name] for name in sorted(_REGISTRY)]
+    for index, cls in enumerate(classes, start=_DICT + 1):
+        codec = _enum_codec if issubclass(cls, enum.Enum) \
+            else _dataclass_codec
+        _ENCODERS[cls], _DECODERS[index] = codec(index, cls)
+    return schema_version(classes)
 
 
-_populate_registry()
+def _shape(cls: type) -> tuple[str, ...]:
+    """What a positional body relies on: field or member names."""
+    parts = cls if issubclass(cls, enum.Enum) else dataclasses.fields(cls)
+    return tuple(part.name for part in parts)
+
+
+def schema_version(classes) -> str:
+    """The protocol version of a registry sealed in this class order."""
+    schema = ";".join(f"{cls.__name__}({','.join(_shape(cls))})"
+                      for cls in classes)
+    return f"2.{zlib.crc32(schema.encode('utf-8')) & 0xffff:04x}"
 
 
 # ---------------------------------------------------------------------------
 # value encoding
 # ---------------------------------------------------------------------------
 
+_LIST, _TUPLE, _DICT = range(3)  # registered classes follow from 3
+# Matched by exact type, so int/str-mixin enum members are not primitives.
+_PRIMITIVES = frozenset({type(None), bool, int, float, str})
+
+
 def encode_value(value):
     """Encode any registered value into its JSON-able wire form."""
-    # Enums first: str/int-mixin members would otherwise slip through
-    # the primitive passthrough and decode as bare strings/numbers.
-    if isinstance(value, enum.Enum):
-        cls = type(value)
-        if _REGISTRY.get(cls.__name__) is not cls:
-            raise CodecError(f"unregistered enum type {cls.__name__}")
-        return {"__k": "enum", "t": cls.__name__, "v": value.name}
-    if value is None or isinstance(value, (bool, int, float, str)):
+    cls = type(value)
+    if cls in _PRIMITIVES:
         return value
-    if isinstance(value, EntityRef):
-        return {"__k": "ref", "v": value.as_json()}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        if _REGISTRY.get(cls.__name__) is not cls:
-            raise CodecError(
-                f"unregistered dataclass type {cls.__name__}")
-        fields = {f.name: encode_value(getattr(value, f.name))
-                  for f in dataclasses.fields(value)}
-        return {"__k": "dc", "t": cls.__name__, "v": fields}
-    if isinstance(value, tuple):
-        return {"__k": "tuple", "v": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {"__k": "map",
-                "v": [[encode_value(k), encode_value(v)]
-                      for k, v in value.items()]}
-    raise CodecError(
-        f"value of type {type(value).__name__} cannot cross the wire")
+    encoder = _ENCODERS.get(cls)
+    if encoder is None:
+        raise CodecError(f"unregistered wire type {cls.__name__}")
+    return encoder(value)
 
 
 def decode_value(value):
     """Decode a wire form back into the exact original value."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [decode_value(v) for v in value]
-    if isinstance(value, dict):
-        kind = value.get("__k")
-        if kind == "tuple":
-            return tuple(decode_value(v) for v in value["v"])
-        if kind == "map":
-            return {decode_value(k): decode_value(v)
-                    for k, v in value["v"]}
-        if kind == "ref":
-            return EntityRef.of(value["v"])
-        if kind == "enum":
-            cls = _REGISTRY.get(value.get("t", ""))
-            if cls is None or not issubclass(cls, enum.Enum):
-                raise CodecError(
-                    f"unknown wire enum type {value.get('t')!r}")
-            try:
-                return cls[value["v"]]
-            except KeyError:
-                raise CodecError(
-                    f"unknown {cls.__name__} member {value['v']!r}")
-        if kind == "dc":
-            cls = _REGISTRY.get(value.get("t", ""))
-            if cls is None or not dataclasses.is_dataclass(cls):
-                raise CodecError(
-                    f"unknown wire dataclass type {value.get('t')!r}")
-            fields = {name: decode_value(v)
-                      for name, v in value["v"].items()}
-            try:
-                return cls(**fields)
-            except TypeError as exc:
-                raise CodecError(
-                    f"bad field set for {cls.__name__}: {exc}")
-        raise CodecError(f"unknown wire value tag {kind!r}")
-    raise CodecError(
-        f"un-decodable wire value of type {type(value).__name__}")
+    cls = type(value)
+    if cls is not list:
+        if cls in _PRIMITIVES:
+            return value
+        raise CodecError(f"un-decodable wire value {cls.__name__}")
+    tag = value[0] if value else None
+    decoder = _DECODERS.get(tag) if type(tag) is int else None
+    if decoder is None:
+        raise CodecError(f"unknown wire value tag {tag!r}")
+    return decoder(value)
+
+
+def _decode_dict(body: list) -> dict:
+    if len(body) % 2 == 0:
+        raise CodecError("dict body has a key without a value")
+    items = map(decode_value, body[1:])
+    try:
+        return dict(zip(items, items))
+    except TypeError as exc:  # an unhashable key
+        raise CodecError(f"bad dict key: {exc}") from None
+
+
+_ENCODERS = {
+    list: lambda value: [_LIST, *map(encode_value, value)],
+    tuple: lambda value: [_TUPLE, *map(encode_value, value)],
+    dict: lambda value: [_DICT, *map(encode_value, chain.from_iterable(
+        value.items()))],
+}
+_DECODERS = {
+    _LIST: lambda body: list(map(decode_value, body[1:])),
+    _TUPLE: lambda body: tuple(map(decode_value, body[1:])),
+    _DICT: _decode_dict,
+}
+
+
+def _enum_codec(index: int, cls: type):
+    members = tuple(cls)
+    position = {member: at for at, member in enumerate(members)}
+
+    def decode(body: list):
+        at = body[1] if len(body) == 2 else None
+        if type(at) is not int or not 0 <= at < len(members):
+            raise CodecError(f"bad {cls.__name__} member {body[1:]!r}")
+        return members[at]
+
+    return lambda value: [index, position[value]], decode
+
+
+def _dataclass_codec(index: int, cls: type):
+    names = _shape(cls)
+    arity = len(names)
+    fields = operator.attrgetter(*names) if arity > 1 else \
+        (lambda value: tuple(getattr(value, name) for name in names))
+
+    def decode(body: list):
+        if len(body) != arity + 1:
+            raise CodecError(f"{cls.__name__} takes {arity} fields, "
+                             f"not {len(body) - 1}")
+        return cls(*map(decode_value, body[1:]))
+
+    return lambda value: [index, *map(encode_value, fields(value))], decode
+
+
+#: Version stamped into (and required of) every message envelope.
+PROTOCOL_VERSION = _seal()
 
 
 # ---------------------------------------------------------------------------
 # operations and results
 # ---------------------------------------------------------------------------
 
-def encode_operation(operation) -> dict:
-    """Canonical wire form of one operation (any legacy shape)."""
-    from ..core.operation import as_operation
+def _expect(value, kinds, what: str):
+    if not isinstance(value, kinds):
+        raise CodecError(f"{type(value).__name__} is not {what}")
+    return value
 
+
+def encode_operation(operation) -> list:
+    """Canonical wire form of one operation (any legacy shape)."""
     return encode_value(as_operation(operation))
 
 
 def decode_operation(encoded):
     """Decode a wire operation; reject anything outside the union."""
-    from ..core.operation import ComplexRead, ShortRead, Update
-
-    op = decode_value(encoded)
-    if not isinstance(op, (ComplexRead, ShortRead, Update)):
-        raise CodecError(
-            f"decoded message is not an operation: {type(op).__name__}")
-    return op
+    return _expect(decode_value(encoded),
+                   (ComplexRead, ShortRead, Update), "an operation")
 
 
-def encode_result(result) -> dict:
+def encode_result(result) -> list:
     """Canonical wire form of one :class:`OperationResult`."""
-    from ..core.operation import OperationResult
-
-    if not isinstance(result, OperationResult):
-        raise CodecError(
-            f"not an OperationResult: {type(result).__name__}")
-    return encode_value(result)
+    return encode_value(_expect(result, OperationResult,
+                                "an OperationResult"))
 
 
 def decode_result(encoded):
     """Decode a wire result; reject anything else."""
-    from ..core.operation import OperationResult
-
-    result = decode_value(encoded)
-    if not isinstance(result, OperationResult):
-        raise CodecError(
-            f"decoded message is not a result: {type(result).__name__}")
-    return result
+    return _expect(decode_value(encoded), OperationResult, "a result")
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +256,8 @@ def decode_result(encoded):
 # ---------------------------------------------------------------------------
 
 def encode_frame(message: dict) -> bytes:
-    """One length-prefixed frame around a version-stamped message."""
-    if "v" not in message:
-        message = {"v": PROTOCOL_VERSION, **message}
-    body = json.dumps(message, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    """One length-prefixed frame, stamped with this codec's version."""
+    body = _dumps({**message, "v": PROTOCOL_VERSION}).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameTooLargeError(
             f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -271,6 +276,14 @@ def check_version(message) -> dict:
     return message
 
 
+def _frame_length(header) -> int:
+    (length,) = _HEADER.unpack_from(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLargeError(
+            f"frame length prefix {length} exceeds {MAX_FRAME_BYTES}")
+    return length
+
+
 def _parse_body(body: bytes) -> dict:
     try:
         message = json.loads(body.decode("utf-8"))
@@ -280,12 +293,8 @@ def _parse_body(body: bytes) -> dict:
 
 
 class FrameReader:
-    """Incremental frame decoder (feed bytes, pop messages).
-
-    Used by tests and any non-blocking transport; the blocking socket
-    path uses :func:`recv_message` directly.  :meth:`close` raises
-    :class:`TruncatedFrameError` when the stream ended mid-frame.
-    """
+    """Incremental frame decoder (feed bytes, pop messages); the
+    blocking socket path uses :func:`recv_message` instead."""
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -297,11 +306,7 @@ class FrameReader:
         """The next complete message, or None if more bytes are needed."""
         if len(self._buffer) < _HEADER.size:
             return None
-        (length,) = _HEADER.unpack_from(self._buffer)
-        if length > MAX_FRAME_BYTES:
-            raise FrameTooLargeError(
-                f"frame length prefix {length} exceeds {MAX_FRAME_BYTES}")
-        end = _HEADER.size + length
+        end = _HEADER.size + _frame_length(self._buffer)
         if len(self._buffer) < end:
             return None
         body = bytes(self._buffer[_HEADER.size:end])
@@ -318,8 +323,7 @@ class FrameReader:
 
 def _recv_exact(sock, count: int, *, at_boundary: bool) -> bytes | None:
     """Read exactly ``count`` bytes; None on clean EOF at a boundary."""
-    chunks = []
-    remaining = count
+    chunks, remaining = [], count
     while remaining > 0:
         chunk = sock.recv(remaining)
         if not chunk:
@@ -338,12 +342,8 @@ def recv_message(sock) -> dict | None:
     header = _recv_exact(sock, _HEADER.size, at_boundary=True)
     if header is None:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(
-            f"frame length prefix {length} exceeds {MAX_FRAME_BYTES}")
-    body = _recv_exact(sock, length, at_boundary=False)
-    return _parse_body(body)
+    return _parse_body(
+        _recv_exact(sock, _frame_length(header), at_boundary=False))
 
 
 def send_message(sock, message: dict) -> None:

@@ -2,7 +2,8 @@
 
 One :class:`ReproServer` wraps one SUT (anything implementing the
 unified ``execute(op) -> OperationResult`` API) and speaks the
-:mod:`repro.net.codec` wire protocol:
+:mod:`repro.net.codec` wire protocol (JSON envelopes around positional
+bodies; a client built from another registry schema is refused):
 
 * **pipelining** — each connection has a dedicated reader thread; a
   client may have any number of requests in flight, and responses are
@@ -306,8 +307,8 @@ class ReproServer:
     @staticmethod
     def _error_response(request_id, error: str, message: str,
                         retry_after: float | None = None) -> dict:
-        response = {"v": codec.PROTOCOL_VERSION, "id": request_id,
-                    "kind": "error", "error": error, "message": message}
+        response = {"id": request_id, "kind": "error", "error": error,
+                    "message": message}
         if retry_after is not None:
             response["retry_after"] = retry_after
         return response
@@ -373,20 +374,19 @@ class ReproServer:
     def _handle_admin(self, request_id, message: dict) -> dict:
         action = message.get("action")
         if action == "ping":
-            return {"v": codec.PROTOCOL_VERSION, "id": request_id,
-                    "kind": "admin-result",
+            return {"id": request_id, "kind": "admin-result",
                     "value": {"sut": getattr(self.sut, "name", "?"),
                               "protocol": codec.PROTOCOL_VERSION}}
         if action == "stats":
-            return {"v": codec.PROTOCOL_VERSION, "id": request_id,
-                    "kind": "admin-result", "value": self.stats()}
+            return {"id": request_id, "kind": "admin-result",
+                    "value": self.stats()}
         if action == "digest":
             compute = getattr(self.sut, "digest", None)
             if compute is None:
                 return self._error_response(
                     request_id, "fatal", "the served SUT has no digest()")
-            return {"v": codec.PROTOCOL_VERSION, "id": request_id,
-                    "kind": "admin-result", "value": {"digest": compute()}}
+            return {"id": request_id, "kind": "admin-result",
+                    "value": {"digest": compute()}}
         return self._error_response(
             request_id, "fatal", f"unknown admin action {action!r}")
 
@@ -522,5 +522,4 @@ class ReproServer:
             self._count("errors")
             return self._error_response(
                 None, "fatal", f"unencodable result: {exc}")
-        return {"v": codec.PROTOCOL_VERSION, "id": None,
-                "kind": "result", "result": encoded}
+        return {"id": None, "kind": "result", "result": encoded}

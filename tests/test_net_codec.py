@@ -15,6 +15,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import os
+import subprocess
+import sys
 import types
 import typing
 
@@ -163,10 +166,16 @@ def test_roundtrip_result_shapes():
         assert decoded == result
 
 
+def class_index(name: str) -> int:
+    """A registered class's wire index: sorted-name order after the
+    three container tags."""
+    return sorted(codec.registered_types()).index(name) + 3
+
+
 def test_entity_ref_as_json_roundtrip():
     ref = EntityRef.message(123)
     wire = codec.encode_value(ref)
-    assert wire == {"__k": "ref", "v": ref.as_json()}
+    assert wire == [class_index("EntityRef"), *ref.as_json()]
     decoded = codec.decode_value(json.loads(json.dumps(wire)))
     assert isinstance(decoded, EntityRef)
     assert decoded == ref and decoded.kind == "message"
@@ -223,16 +232,38 @@ def test_unregistered_types_are_refused():
         codec.encode_value(NotRegistered(1))
 
 
+Q1 = class_index("Q1Params")  # Q1Params(person_id, first_name)
+KIND = class_index("UpdateKind")
+
+
 def test_unknown_tags_and_types_are_refused():
-    with pytest.raises(CodecError, match="unknown wire value tag"):
-        codec.decode_value({"__k": "exec", "v": "os.system"})
-    with pytest.raises(CodecError, match="unknown wire dataclass"):
-        codec.decode_value({"__k": "dc", "t": "Subprocess", "v": {}})
-    with pytest.raises(CodecError, match="unknown wire enum"):
-        codec.decode_value({"__k": "enum", "t": "Nope", "v": "X"})
-    with pytest.raises(CodecError, match="bad field set"):
-        codec.decode_value({"__k": "dc", "t": "Q1Params",
-                            "v": {"bogus": 1}})
+    unknown_tags = [
+        [], ["0"], [None, 1], [1.0, 2], [True, 1], [False], [[0], 1],
+        [-1], [10 ** 6], [3 + len(codec.registered_types())],
+    ]
+    for wire in unknown_tags:
+        with pytest.raises(CodecError, match="unknown wire value tag"):
+            codec.decode_value(wire)
+    # A name-tagged object is not a body form.
+    for stray in ({"__k": "dc", "t": "Q1Params", "v": {"person_id": 1}},
+                  {"__k": "ref", "v": ["person", 1]}, {}):
+        with pytest.raises(CodecError, match="un-decodable"):
+            codec.decode_value(stray)
+
+
+@pytest.mark.parametrize("wire", [
+    [Q1], [Q1, 1], [Q1, 1, "x", 2],                  # wrong field count
+    [Q1, 1, [999]],                                  # bad nested value
+    [KIND, 1, 2], [KIND], [KIND, 99], [KIND, -1],    # bad enum bodies
+    [KIND, True], [KIND, "ADD_PERSON"],
+    [class_index("EntityRef"), 0],                   # enum-shaped dataclass
+    [2, 1], [2, [0], 1],                             # odd / unhashable dict
+], ids=["no-fields", "too-few", "too-many", "nested", "enum-two",
+        "enum-none", "enum-range", "enum-negative", "enum-true",
+        "enum-name", "dataclass-as-enum", "dict-odd", "dict-list-key"])
+def test_malformed_bodies_are_refused(wire):
+    with pytest.raises(CodecError):
+        codec.decode_value(wire)
 
 
 def test_non_operation_payloads_are_refused():
@@ -258,6 +289,60 @@ def test_unknown_version_is_rejected():
     reader.feed(len(unversioned).to_bytes(4, "big") + unversioned)
     with pytest.raises(UnsupportedVersionError):
         reader.next()
+
+
+def test_version_stamp_fingerprints_the_schema():
+    classes = [cls for __, cls in REGISTERED]
+    assert codec.schema_version(classes) == codec.PROTOCOL_VERSION
+    # A peer whose Q1Params declares the same fields in another order
+    # would mis-assign every positional Q1 body: its stamp differs.
+    fields = dataclasses.fields(codec.registered_types()["Q1Params"])
+    reordered = dataclasses.make_dataclass(
+        "Q1Params", [(f.name, f.type) for f in reversed(fields)])
+    patched = [reordered if cls.__name__ == "Q1Params" else cls
+               for cls in classes]
+    foreign = codec.schema_version(patched)
+    assert foreign != codec.PROTOCOL_VERSION
+    assert foreign.startswith("2.")
+    # ... and this codec refuses that peer's frames.
+    body = json.dumps({"v": foreign, "kind": "execute", "id": 1,
+                       "op": [class_index("ComplexRead"), 1,
+                              [class_index("Q1Params"), "Mary", 17], 0]})
+    reader = FrameReader()
+    reader.feed(len(body).to_bytes(4, "big") + body.encode())
+    with pytest.raises(UnsupportedVersionError):
+        reader.next()
+
+
+def test_version_stamp_is_stable_across_processes():
+    # Derived with zlib, never hash(): a fresh interpreter with another
+    # hash seed computes the same stamp.
+    script = "from repro.net import codec; print(codec.PROTOCOL_VERSION)"
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout.strip() == codec.PROTOCOL_VERSION
+
+
+#: Frame bytes per op class as measured when the positional body
+#: landed, rounded up to the next 16 B: envelope bloat fails here.
+FRAME_BUDGET = {"Update": 192, "ComplexRead": 96, "ShortRead": 96}
+
+
+def test_request_frames_stay_within_budget(split, curated_params,
+                                           network):
+    requests = {
+        "Update": Update(split.updates[0]),
+        "ComplexRead": ComplexRead(1, curated_params.by_query[1][0]),
+        "ShortRead": ShortRead(1, EntityRef.person(network.persons[0].id)),
+    }
+    for name, op in requests.items():
+        frame = codec.encode_frame({"kind": "execute", "id": 1,
+                                    "op": codec.encode_operation(op)})
+        assert len(frame) <= FRAME_BUDGET[name], \
+            f"{name} request grew to {len(frame)} B: {frame!r}"
 
 
 def test_truncated_frame_is_rejected():
