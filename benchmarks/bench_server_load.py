@@ -7,7 +7,7 @@ load (parallel mode, several partitions).  Digest equality across all
 three legs is the hard gate: every run must leave byte-identical final
 state or this harness exits 1.  On top of the gate it reports the
 latency cost of the wire per operation class (mean/p99, both sides),
-the server's own admission/queue counters, and writes the
+the server's own request/busy/dedup counters, and writes the
 sharded-vs-single throughput row to the committed
 ``BENCH_server_load.json`` (the tracked perf trajectory).
 
@@ -139,7 +139,7 @@ def run_ab(persons: int, seed: int, partitions: int, workers: int,
     split = split_network(generate(DatagenConfig(num_persons=persons,
                                                  seed=seed)))
     server = ReproServer(StoreSUT(load_network(split.bulk)),
-                         ServerConfig(workers=workers, queue_size=256))
+                         ServerConfig(workers=workers))
     host, port = server.start()
     try:
         remote_report, remote_digest = _run(

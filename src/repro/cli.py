@@ -233,11 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="0 picks an ephemeral port (printed on "
                             "startup)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="worker threads executing operations")
-    serve.add_argument("--queue-size", type=int, default=64,
-                       help="bounded request queue; overflow triggers "
-                            "busy rejections with a retry hint")
+    serve.add_argument("--workers", type=int, default=64,
+                       help="requests that may execute at once; one "
+                            "more is refused busy with a retry hint")
     serve.add_argument("--retry-after", type=float, default=0.05,
                        help="retry hint (seconds) sent with busy "
                             "rejections")
@@ -249,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--drain-timeout", type=float, default=5.0,
         help="SIGTERM grace: stop accepting, finish in-flight "
-             "requests (and queued duplicates) for up to this many "
-             "seconds, then close")
+             "requests for up to this many seconds, then close")
     _add_trace_flag(serve)
     return parser
 
@@ -675,16 +672,16 @@ def _cmd_serve(args) -> int:
     try:
         config = ServerConfig(
             host=args.host, port=args.port, workers=args.workers,
-            queue_size=args.queue_size, retry_after=args.retry_after,
+            retry_after=args.retry_after,
             max_estimated_rows=args.max_estimated_rows,
             drain_timeout=args.drain_timeout)
         trace = _TraceSession(args.trace)
         server = ReproServer(sut, config)
         host, port = server.start()
 
-        # SIGTERM = graceful drain: stop accepting, let in-flight (and
-        # queued duplicate) requests finish, then close.  A pipelined
-        # client mid-batch gets its answers instead of a reset socket.
+        # SIGTERM = graceful drain: stop accepting, let in-flight
+        # requests finish, then close.  A client mid-request gets its
+        # answer instead of a reset socket.
         import signal
 
         def _drain_handler(signum, frame):
@@ -698,7 +695,7 @@ def _cmd_serve(args) -> int:
             f"max {args.max_estimated_rows:.0f} estimated rows " \
             f"(avg degree {server.admission.average_degree:.1f})"
         print(f"serving {sut.name} on {host}:{port} "
-              f"({args.workers} workers, queue {args.queue_size}, "
+              f"(at most {args.workers} executing, "
               f"admission {admission})")
         print("drive it with: repro benchmark "
               f"--persons {args.persons} --seed {args.seed} "

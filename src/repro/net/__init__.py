@@ -13,9 +13,10 @@ that boundary without changing anything above it:
   engine's cardinality estimator, so runaway traversals are refused
   before execution;
 * :mod:`repro.net.server` — a threaded socket server fronting any SUT:
-  bounded worker pool, per-connection request pipelining, backpressure
-  (reject-with-retry-after when the queue is full), and exactly-once
-  update application keyed on client-supplied operation tokens;
+  one thread per connection running each request where it reads it,
+  backpressure (reject-with-retry-after when ``workers`` requests are
+  already executing), and exactly-once update application keyed on
+  client-supplied operation tokens;
 * :mod:`repro.net.client` — :class:`RemoteConnector`, implementing the
   same connector protocol as the in-process SUTs (a pool of
   :mod:`repro.net.channel` channels, one per concurrent caller; timeout

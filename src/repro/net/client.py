@@ -20,8 +20,8 @@ Failure mapping onto the existing error taxonomy:
   :class:`RemoteTransientError`;
 * a server-side fatal (or unclassified) failure →
   :class:`RemoteFatalError` (never retried);
-* backpressure (queue full) → :class:`ServerBusyError` (transient,
-  carries the server's ``retry_after`` hint);
+* backpressure (every execution slot taken) → :class:`ServerBusyError`
+  (transient, carries the server's ``retry_after`` hint);
 * admission-control refusal → :class:`AdmissionRejectedError` (fatal:
   retrying an over-cost traversal cannot make it admissible).
 
@@ -64,7 +64,7 @@ class RemoteProtocolError(FatalSUTError):
 
 
 class ServerBusyError(TransientError):
-    """Backpressure: the server's request queue was full."""
+    """Backpressure: the server was already executing its limit."""
 
     def __init__(self, message: str, retry_after: float | None) -> None:
         super().__init__(message)

@@ -5,16 +5,14 @@ unified ``execute(op) -> OperationResult`` API) and speaks the
 :mod:`repro.net.codec` wire protocol (JSON envelopes around positional
 bodies; a client built from another registry schema is refused):
 
-* **pipelining** — each connection has a dedicated reader thread; a
-  client may have any number of requests in flight, and responses are
-  matched by request id (they may return out of order);
-* **bounded worker pool** — requests are executed by ``workers``
-  threads off one bounded queue; execution order across connections is
-  whatever the pool dequeues;
-* **backpressure** — when the queue is full the request is rejected
-  *immediately* with a ``busy`` error carrying ``retry_after`` seconds,
-  instead of stalling the reader (a wedged accept loop is how real
-  benchmark SUTs melt down);
+* **one thread per connection** — a connection's thread reads a
+  request, executes it and writes the answer, then reads the next.
+  Clients keep one request in flight per connection and open one
+  connection per concurrent caller;
+* **backpressure** — at most ``workers`` requests execute at once; one
+  more is rejected *immediately* with a ``busy`` error carrying
+  ``retry_after`` seconds instead of waiting for a slot (a wedged
+  server is how real benchmark SUTs melt down);
 * **admission control** — complex reads whose estimated traversal
   cardinality exceeds the configured ceiling are refused pre-execution
   (:mod:`repro.net.admission`);
@@ -29,7 +27,7 @@ bodies; a client built from another registry schema is refused):
 
 from __future__ import annotations
 
-import queue
+import contextlib
 import socket
 import threading
 import time
@@ -56,10 +54,8 @@ class ServerConfig:
     #: 0 lets the OS pick an ephemeral port (tests); :meth:`start`
     #: returns the bound address either way.
     port: int = 0
-    #: Worker threads executing operations off the shared queue.
-    workers: int = 4
-    #: Bounded request queue; a full queue triggers busy rejections.
-    queue_size: int = 64
+    #: Requests that may execute at once; one more is refused busy.
+    workers: int = 64
     #: Retry hint (seconds) sent with busy rejections.
     retry_after: float = 0.05
     #: Admission ceiling on estimated traversal rows; None disables.
@@ -73,46 +69,34 @@ class ServerConfig:
 
 
 class _DedupEntry:
-    """Lifecycle of one op_key: in-flight → done(outcome)."""
+    """One op_key's outcome; ``None`` while the first attempt runs."""
 
-    __slots__ = ("done", "outcome", "waiters")
+    __slots__ = ("outcome",)
 
     def __init__(self) -> None:
-        self.done = False
         self.outcome: dict | None = None
-        #: (connection, request id) pairs awaiting the first execution.
-        self.waiters: list[tuple["_Connection", object]] = []
 
 
 class _Connection:
-    """One accepted client connection (reader thread + write lock)."""
+    """One accepted client connection and the thread serving it."""
 
-    def __init__(self, sock: socket.socket, peer) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.peer = peer
-        self.write_lock = threading.Lock()
-        self.closed = False
+        self.thread: threading.Thread | None = None
 
-    def send(self, message: dict) -> None:
-        """Best-effort framed write (a vanished client is not an error)."""
-        try:
-            with self.write_lock:
-                codec.send_message(self.sock, message)
-        except OSError:
-            self.close()
-
-    def close(self) -> None:
-        self.closed = True
+    def close(self, how: int = socket.SHUT_RDWR) -> None:
+        """Hang up; ``SHUT_RD`` (drain) only ends the reading."""
         try:
             # shutdown() first: close() alone does not interrupt a
             # thread blocked in recv() on this socket (the in-flight
             # syscall keeps the kernel socket alive, so the peer never
             # sees a FIN until the next message arrives).
-            self.sock.shutdown(socket.SHUT_RDWR)
+            self.sock.shutdown(how)
         except OSError:
             pass  # already disconnected
         try:
-            self.sock.close()
+            if how == socket.SHUT_RDWR:
+                self.sock.close()
         except OSError:  # pragma: no cover - double close
             pass
 
@@ -126,13 +110,16 @@ class ReproServer:
         self.admission = AdmissionController.for_sut(
             sut, self.config.max_estimated_rows)
         self._listener: socket.socket | None = None
-        self._queue: queue.Queue = queue.Queue(
-            maxsize=max(1, self.config.queue_size))
-        self._threads: list[threading.Thread] = []
+        self._acceptor: threading.Thread | None = None
         self._connections: list[_Connection] = []
         self._conn_lock = threading.Lock()
+        #: Free execution slots; a request that finds none is busy.
+        self._slots = threading.BoundedSemaphore(
+            max(1, self.config.workers))
         self._dedup: OrderedDict[str, _DedupEntry] = OrderedDict()
         self._dedup_lock = threading.Lock()
+        #: Notified whenever an in-flight op_key gets its outcome.
+        self._dedup_done = threading.Condition(self._dedup_lock)
         self._stats_lock = threading.Lock()
         self._stats = {
             "requests": 0,
@@ -143,9 +130,6 @@ class ReproServer:
             "deduped": 0,
         }
         self._shutdown = threading.Event()
-        self._draining = False
-        self._active_jobs = 0
-        self._active_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -156,22 +140,16 @@ class ReproServer:
         return self._listener.getsockname()[:2]
 
     def start(self) -> tuple[str, int]:
-        """Bind, spawn workers and the accept loop; return (host, port)."""
+        """Bind and spawn the accept loop; return (host, port)."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, self.config.port))
         listener.listen(64)
         self._listener = listener
-        for index in range(max(1, self.config.workers)):
-            thread = threading.Thread(target=self._worker_main,
-                                      name=f"repro-net-worker-{index}",
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        acceptor = threading.Thread(target=self._accept_main,
-                                    name="repro-net-accept", daemon=True)
-        acceptor.start()
-        self._threads.append(acceptor)
+        self._acceptor = threading.Thread(
+            target=self._accept_main, name="repro-net-accept",
+            daemon=True)
+        self._acceptor.start()
         return self.address
 
     def serve_forever(self) -> None:
@@ -200,55 +178,43 @@ class ReproServer:
     def drain(self, timeout: float | None = None) -> bool:
         """Graceful SIGTERM path: finish the in-flight work, then stop.
 
-        Stops accepting *new connections* immediately but keeps
-        serving the live ones: queued requests execute, pipelined
-        batches complete, and duplicate-waiters parked on an in-flight
-        ``op_key`` hear their replayed outcome — none of which survives
-        a bare :meth:`shutdown`, which resets every socket mid-batch.
-        Once the queue is empty and no worker holds a job (or
+        Stops accepting new connections, then ends the *reading* side
+        of every live one: a request already read still executes and
+        is answered (a duplicate waiting on an in-flight ``op_key``
+        hears the replayed outcome), and then its thread sees EOF.
+        A bare :meth:`shutdown` resets every socket mid-request
+        instead.  Once every connection thread has exited (or
         ``timeout`` seconds pass), the full shutdown runs.  Returns
         True when the drain completed cleanly, False on timeout.
         """
         if timeout is None:
             timeout = self.config.drain_timeout
-        self._draining = True
-        self._close_listener()
         deadline = time.monotonic() + max(0.0, timeout)
-        idle_checks = 0
-        while time.monotonic() < deadline:
-            with self._active_lock:
-                active = self._active_jobs
-            if self._queue.empty() and active == 0:
-                # Require a few consecutive idle observations: a reader
-                # thread may be between recv() and queue.put.
-                idle_checks += 1
-                if idle_checks >= 3:
-                    break
-            else:
-                idle_checks = 0
-            time.sleep(0.005)
-        with self._active_lock:
-            active = self._active_jobs
-        completed = self._queue.empty() and active == 0
+        self._close_listener()
+        if self._acceptor is not None:
+            # Once the acceptor is gone no connection can be added
+            # behind the snapshot below.
+            self._acceptor.join(max(0.0, deadline - time.monotonic()))
+        with self._conn_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close(socket.SHUT_RD)
+        for connection in connections:
+            connection.thread.join(max(0.0, deadline - time.monotonic()))
+        completed = not any(c.thread.is_alive() for c in connections)
         self.shutdown()
         return completed
 
     def shutdown(self) -> None:
-        """Stop accepting, close connections, release workers."""
+        """Stop accepting and close every connection (idempotent)."""
         if self._shutdown.is_set():
-            return  # idempotent: sentinels are already in flight
+            return
         self._shutdown.set()
         self._close_listener()
         with self._conn_lock:
             connections = list(self._connections)
         for connection in connections:
             connection.close()
-        # One blocking put per worker: with jobs still queued,
-        # put_nowait would drop sentinels and leave workers parked on
-        # get() forever.  Workers keep draining the backlog, so each
-        # put completes once a slot frees up.
-        for __ in range(max(1, self.config.workers)):
-            self._queue.put(None)
 
     def stats(self) -> dict:
         with self._stats_lock:
@@ -263,39 +229,36 @@ class ReproServer:
         if telemetry_name is not None and telemetry.active:
             telemetry.counter(telemetry_name).inc()
 
-    # -- accept / read loops -----------------------------------------------
+    # -- accept / connection loops -----------------------------------------
 
     def _accept_main(self) -> None:
         while not self._shutdown.is_set():
             try:
                 sock, peer = self._listener.accept()
             except OSError:
-                return  # listener closed by shutdown()
+                return  # listener closed by drain() or shutdown()
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = _Connection(sock, peer)
-            with self._conn_lock:
-                self._connections.append(connection)
-            thread = threading.Thread(
+            connection = _Connection(sock)
+            connection.thread = threading.Thread(
                 target=self._connection_main, args=(connection,),
                 name=f"repro-net-conn-{peer[1]}", daemon=True)
-            thread.start()
+            with self._conn_lock:
+                self._connections.append(connection)
+            connection.thread.start()
 
     def _connection_main(self, connection: _Connection) -> None:
+        sock = connection.sock
         try:
-            while not connection.closed:
-                try:
-                    message = codec.recv_message(connection.sock)
-                except codec.CodecError as exc:
-                    # Framing is unrecoverable mid-stream: answer what
-                    # we can, then drop the connection.
-                    connection.send(self._error_response(
-                        None, "fatal", f"protocol error: {exc}"))
-                    return
-                except OSError:
-                    return
-                if message is None:
-                    return  # clean EOF
-                self._handle_message(connection, message)
+            while (message := codec.recv_message(sock)) is not None:
+                codec.send_message(sock, self._handle_message(message))
+        except codec.CodecError as exc:
+            # Framing is unrecoverable mid-stream: answer what we can,
+            # then drop the connection.
+            with contextlib.suppress(OSError):
+                codec.send_message(sock, self._error_response(
+                    None, "fatal", f"protocol error: {exc}"))
+        except OSError:
+            pass  # the client vanished, or shutdown() hung up on it
         finally:
             connection.close()
             with self._conn_lock:
@@ -313,63 +276,49 @@ class ReproServer:
             response["retry_after"] = retry_after
         return response
 
-    def _handle_message(self, connection: _Connection,
-                        message: dict) -> None:
+    def _handle_message(self, message: dict) -> dict:
+        """Answer one request (runs on the connection's thread)."""
         self._count("requests", REQUESTS_COUNTER)
         request_id = message.get("id")
         kind = message.get("kind")
         if kind == "admin":
-            connection.send(self._handle_admin(request_id, message))
-            return
+            return self._handle_admin(request_id, message)
         if kind != "execute":
-            connection.send(self._error_response(
-                request_id, "fatal", f"unknown request kind {kind!r}"))
-            return
+            return self._error_response(
+                request_id, "fatal", f"unknown request kind {kind!r}")
         try:
             op = codec.decode_operation(message.get("op"))
         except codec.CodecError as exc:
             self._count("errors")
-            connection.send(self._error_response(
-                request_id, "fatal", f"undecodable operation: {exc}"))
-            return
+            return self._error_response(
+                request_id, "fatal", f"undecodable operation: {exc}")
 
         verdict = self.admission.review(op)
         if not verdict.admitted:
             self._count("rejected_admission", ADMISSION_COUNTER)
-            connection.send(self._error_response(
+            return self._error_response(
                 request_id, "rejected",
                 f"admission control refused {op.op_class}: estimated "
                 f"{verdict.estimated_rows:.0f} rows > "
                 f"{self.admission.max_estimated_rows:.0f} "
-                f"({verdict.derivation})"))
-            return
+                f"({verdict.derivation})")
 
-        op_key = message.get("op_key")
-        if op_key is not None:
-            entry, is_duplicate = self._dedup_claim(
-                op_key, connection, request_id)
-            if is_duplicate:
-                self._count("deduped", DEDUP_COUNTER)
-                if entry.done:
-                    connection.send(self._replay(entry, request_id))
-                # else: registered as a waiter; answered on completion.
-                return
-        try:
-            self._queue.put_nowait((connection, request_id, op, op_key))
-        except queue.Full:
+        if not self._slots.acquire(blocking=False):
             self._count("rejected_busy", BUSY_COUNTER)
-            busy = self._error_response(
+            return self._error_response(
                 request_id, "busy",
-                f"request queue full ({self.config.queue_size})",
-                retry_after=self.config.retry_after)
-            if op_key is not None:
-                # Duplicates that registered as waiters between the
-                # claim and this rejection must hear the busy error
-                # too, or their clients block for the full timeout.
-                for waiter_conn, waiter_id in \
-                        self._dedup_abandon(op_key):
-                    waiter_conn.send(dict(busy, id=waiter_id))
-            connection.send(busy)
+                f"server busy ({self.config.workers} requests "
+                f"executing)", retry_after=self.config.retry_after)
+        try:
+            op_key = message.get("op_key")
+            if op_key is None:
+                response = self._execute(op)
+            else:
+                response = self._execute_once(op_key, op)
+        finally:
+            self._slots.release()
+        response["id"] = request_id
+        return response
 
     def _handle_admin(self, request_id, message: dict) -> dict:
         action = message.get("action")
@@ -392,106 +341,41 @@ class ReproServer:
 
     # -- dedup -------------------------------------------------------------
 
-    def _dedup_claim(self, op_key: str, connection: _Connection,
-                     request_id) -> tuple[_DedupEntry, bool]:
-        """Claim a token; True means another attempt owns execution."""
-        with self._dedup_lock:
-            entry = self._dedup.get(op_key)
-            if entry is None:
-                entry = _DedupEntry()
-                self._dedup[op_key] = entry
-                while len(self._dedup) > self.config.dedup_capacity:
-                    # Evict the oldest *completed* outcome only.
-                    for key in self._dedup:
-                        if self._dedup[key].done:
-                            del self._dedup[key]
-                            break
-                    else:
-                        break
-                return entry, False
-            if not entry.done:
-                entry.waiters.append((connection, request_id))
-            return entry, True
+    def _execute_once(self, op_key: str, op) -> dict:
+        """Execute under ``op_key`` at most once; replay duplicates.
 
-    def _dedup_abandon(self, op_key: str) -> list:
-        """Drop an in-flight claim; return waiters owed an answer.
-
-        The next request with this token re-executes from scratch.
-        The caller must send each returned ``(connection, request_id)``
-        waiter a response — they are owed one and nothing else will
-        answer them.
+        A duplicate of an in-flight token waits here, on its own
+        connection's thread, for the first attempt's outcome.
         """
         with self._dedup_lock:
             entry = self._dedup.get(op_key)
-            if entry is None or entry.done:
-                return []
-            del self._dedup[op_key]
-            waiters, entry.waiters = entry.waiters, []
-            return waiters
-
-    def _dedup_complete(self, op_key: str, outcome: dict,
-                        ) -> tuple[_DedupEntry | None, list]:
-        """Record the outcome; return the entry and waiters to answer."""
-        with self._dedup_lock:
-            entry = self._dedup.get(op_key)
-            if entry is None:  # pragma: no cover - abandoned meanwhile
-                return None, []
-            entry.done = True
-            entry.outcome = outcome
-            waiters, entry.waiters = entry.waiters, []
-            return entry, waiters
-
-    @staticmethod
-    def _is_transient_outcome(outcome: dict) -> bool:
-        return (outcome.get("kind") == "error"
-                and outcome.get("error") == "transient")
-
-    @staticmethod
-    def _replay(entry: _DedupEntry, request_id) -> dict:
-        response = dict(entry.outcome)
-        response["id"] = request_id
-        response["deduped"] = True
-        return response
-
-    # -- workers -----------------------------------------------------------
-
-    def _worker_main(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return  # shutdown sentinel
-            with self._active_lock:
-                self._active_jobs += 1
-            try:
-                self._run_job(job)
-            finally:
-                with self._active_lock:
-                    self._active_jobs -= 1
-
-    def _run_job(self, job) -> None:
-        connection, request_id, op, op_key = job
+            if entry is not None:
+                self._count("deduped", DEDUP_COUNTER)
+                self._dedup_done.wait_for(
+                    lambda: entry.outcome is not None)
+                return dict(entry.outcome, deduped=True)
+            entry = self._dedup[op_key] = _DedupEntry()
+            while len(self._dedup) > self.config.dedup_capacity:
+                # Evict the oldest *completed* outcome only.
+                for key, old in self._dedup.items():
+                    if old.outcome is not None:
+                        del self._dedup[key]
+                        break
+                else:
+                    break
         outcome = self._execute(op)
-        if op_key is not None:
-            if self._is_transient_outcome(outcome):
+        with self._dedup_lock:
+            entry.outcome = outcome
+            if outcome.get("error") == "transient":
                 # A transient failure (e.g. a write conflict under
-                # concurrent workers) must not become the token's
+                # concurrent connections) must not become the token's
                 # remembered outcome: the update never applied, so
                 # the client's retry has to re-execute rather than
                 # replay the error until its budget runs out.
-                # Waiters hear the transient error directly.
-                for waiter_conn, waiter_id in \
-                        self._dedup_abandon(op_key):
-                    waiter_conn.send(dict(outcome, id=waiter_id))
-            else:
-                entry, waiters = self._dedup_complete(
-                    op_key, outcome)
-                if entry is not None:
-                    for waiter_conn, waiter_id in waiters:
-                        waiter_conn.send(
-                            self._replay(entry, waiter_id))
-        response = dict(outcome)
-        response["id"] = request_id
-        connection.send(response)
+                # Duplicates already waiting hear the transient error.
+                del self._dedup[op_key]
+            self._dedup_done.notify_all()
+        return dict(outcome)
 
     def _execute(self, op) -> dict:
         """Run one operation; build the (id-less) outcome message."""

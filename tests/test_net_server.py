@@ -2,14 +2,13 @@
 
 Every test starts a real :class:`ReproServer` on an ephemeral loopback
 port and talks to it through :class:`RemoteConnector` — the codec,
-framing, channel pool, worker pool, and error mapping are all
+framing, channel pool, connection threads, and error mapping are all
 exercised end to end, just very small.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import queue
 import sys
 import threading
 import time
@@ -48,11 +47,14 @@ class ScriptedSUT:
 
     def __init__(self) -> None:
         self.executed: list = []
+        #: Name of the server thread that ran each execution.
+        self.threads: list[str] = []
         self.lock = threading.Lock()
         self.delay = 0.0
         self.raising: BaseException | None = None
 
     def execute(self, op) -> OperationResult:
+        self.threads.append(threading.current_thread().name)
         if self.delay:
             time.sleep(self.delay)
         if self.raising is not None:
@@ -69,7 +71,7 @@ def server_client():
 
     def factory(sut=None, config=None, **client_kwargs):
         sut = sut or ScriptedSUT()
-        server = ReproServer(sut, config or ServerConfig(workers=2))
+        server = ReproServer(sut, config or ServerConfig())
         host, port = server.start()
         client = RemoteConnector(host, port, timeout=10.0,
                                  **client_kwargs)
@@ -94,6 +96,20 @@ def test_execute_round_trip_and_ping(server_client):
     info = client.ping()
     assert info["sut"] == "scripted"
     assert "scripted" in client.name
+
+
+def test_sut_runs_on_the_connection_thread(server_client):
+    before = set(threading.enumerate())
+    server, client, sut = server_client()
+    client.execute(SHORT)
+    client.execute(SHORT)
+    assert all(name.startswith("repro-net-conn-") for name in sut.threads)
+    # The one connection's thread ran both, and the server started no
+    # thread but it and the acceptor.
+    (connection,) = server._connections
+    assert sut.threads == [connection.thread.name] * 2
+    started = {t.name for t in threading.enumerate() if t not in before}
+    assert started == {"repro-net-accept", connection.thread.name}
 
 
 def test_connector_protocol_conformance(server_client):
@@ -260,10 +276,10 @@ def test_idle_connection_outlives_the_connect_timeout(server_client):
 
 def test_backpressure_rejects_busy_with_retry_hint(server_client):
     server, client, sut = server_client(
-        config=ServerConfig(workers=1, queue_size=1, retry_after=0.123))
+        config=ServerConfig(workers=1, retry_after=0.123))
     sut.delay = 0.3
-    # Eight concurrent callers, eight connections: one executes, one
-    # waits in the queue, the rest are turned away.
+    # Eight concurrent callers, eight connections: one executes, the
+    # rest are turned away.
     errors = _hammer(client, threads=8, ops=1)
     busy = [e for e in errors if isinstance(e, ServerBusyError)]
     assert busy and len(busy) == len(errors)
@@ -376,22 +392,24 @@ def test_fatal_update_outcome_is_replayed_to_retry(server_client,
     assert server.stats()["deduped"] == 1
 
 
+@pytest.mark.parametrize("conflict", [True, False],
+                         ids=["transient", "success"])
 def test_concurrent_duplicates_recover_from_transient_failure(
-        server_client, split):
-    # Two racing attempts at one stream item while the SUT conflicts:
-    # whichever lands second either re-executes or waits on the first
-    # — both must hear the transient error, and a later retry must
-    # still be able to apply the update.
+        server_client, split, conflict):
+    # Two racing attempts at one stream item, on two connections: the
+    # second waits on the first's in-flight token (or, after a
+    # transient failure released it, re-executes).  A success is
+    # replayed to the waiter; a conflict reaches both, and a later
+    # retry must still be able to apply the update.
     server, client, sut = server_client()
     sut.delay = 0.2
-    sut.raising = TransientError("conflict")
+    sut.raising = TransientError("conflict") if conflict else None
     operation = split.updates[0]
     outcomes = []
 
     def attempt() -> None:
         try:
-            client.execute(Update(operation))
-            outcomes.append(None)  # pragma: no cover - must raise
+            outcomes.append(client.execute(Update(operation)))
         except BaseException as exc:
             outcomes.append(exc)
 
@@ -399,12 +417,61 @@ def test_concurrent_duplicates_recover_from_transient_failure(
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(client._open) == 2
+    if not conflict:
+        assert [o.value for o in outcomes] == [1, 1]
+        assert len(sut.executed) == 1
+        assert server.stats()["deduped"] == 1
+        return
     assert all(isinstance(o, RemoteTransientError) for o in outcomes)
     sut.delay = 0.0
     sut.raising = None
     assert client.execute(Update(operation)).value == 1
     assert len(sut.executed) == 1
+
+
+def test_racing_duplicates_execute_each_update_once(server_client,
+                                                    split):
+    # Eight connections send the same twenty updates in different
+    # orders, with thread switches forced often: every token must
+    # execute once, and every copy must hear that one outcome.
+    import random
+
+    server, client, sut = server_client()
+    sut.delay = 0.005  # executions overlap, so duplicates must wait
+    updates = split.updates[:20]
+    answers: dict[int, set] = {i: set() for i in range(len(updates))}
+    errors = []
+    start = threading.Barrier(8)
+
+    def caller(seed: int) -> None:
+        order = list(range(len(updates)))
+        random.Random(seed).shuffle(order)
+        start.wait()
+        try:
+            for i in order:
+                answers[i].add(client.execute(Update(updates[i])).value)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(sut.executed) == len(updates)
+    assert all(len(values) == 1 for values in answers.values())
+    assert server.stats()["deduped"] == 7 * len(updates)
 
 
 def test_reads_are_not_deduplicated(server_client):
@@ -413,73 +480,6 @@ def test_reads_are_not_deduplicated(server_client):
     client.execute(SHORT)
     assert len(sut.executed) == 2
     assert server.stats()["deduped"] == 0
-
-
-class _StubConnection:
-    """Records what the server sends, in lieu of a real socket."""
-
-    def __init__(self) -> None:
-        self.sent: list[dict] = []
-
-    def send(self, message: dict) -> None:
-        self.sent.append(message)
-
-
-def test_queue_full_rejection_answers_duplicate_waiters(split):
-    # A duplicate that registered between the dedup claim and the
-    # (failed) enqueue must hear the busy rejection too, not block
-    # for its whole request timeout.
-    from repro.net import codec
-
-    server = ReproServer(ScriptedSUT(), ServerConfig(queue_size=1))
-    origin, waiter = _StubConnection(), _StubConnection()
-    message = {"v": codec.PROTOCOL_VERSION, "id": 1, "kind": "execute",
-               "op": codec.encode_operation(Update(split.updates[0])),
-               "op_key": "tok"}
-
-    class RacingQueue:
-        def put_nowait(self, job) -> None:
-            # The duplicate lands in the claim→enqueue window.
-            server._dedup_claim("tok", waiter, 2)
-            raise queue.Full
-
-    server._queue = RacingQueue()
-    server._handle_message(origin, message)
-    assert [m["id"] for m in origin.sent] == [1]
-    assert [m["id"] for m in waiter.sent] == [2]
-    assert all(m["error"] == "busy"
-               for m in origin.sent + waiter.sent)
-    # The token is free again: a retry claims it from scratch.
-    assert "tok" not in server._dedup
-
-
-def test_dedup_abandon_leaves_completed_outcomes_alone(server_client,
-                                                       split):
-    server, client, sut = server_client()
-    operation = split.updates[0]
-    key_owner = _StubConnection()
-    client.execute(Update(operation))
-    (op_key,) = list(server._dedup)
-    assert server._dedup_abandon(op_key) == []
-    assert op_key in server._dedup  # done entries are kept for replay
-    assert key_owner.sent == []
-
-
-def test_shutdown_releases_workers_despite_backlogged_queue():
-    sut = ScriptedSUT()
-    sut.delay = 0.02
-    server = ReproServer(sut, ServerConfig(workers=2, queue_size=2))
-    server.start()
-    stub = _StubConnection()
-    for i in range(6):  # more jobs than queue slots
-        server._queue.put((stub, i, SHORT, None))
-    server.shutdown()
-    workers = [t for t in server._threads
-               if t.name.startswith("repro-net-worker")]
-    for worker in workers:
-        worker.join(5.0)
-    assert not any(worker.is_alive() for worker in workers)
-    server.shutdown()  # idempotent: a second call must not block
 
 
 # -- op keys ---------------------------------------------------------------
@@ -547,6 +547,22 @@ def test_drain_completes_inflight_work(server_client):
     assert "error" not in outcome, outcome.get("error")
     assert outcome["result"].value == 1
     assert sut.executed == [SHORT]
+
+
+def test_drain_closes_idle_connections(server_client):
+    """A connected client with nothing in flight does not hold the
+    drain up: its thread sees EOF and exits before drain returns."""
+    server, client, __ = server_client()
+    idle = RemoteConnector(client.host, client.port, timeout=10.0)
+    try:
+        client.execute(SHORT)
+        idle.execute(SHORT)  # dialed, answered, now idle
+        threads = [c.thread for c in server._connections]
+        assert len(threads) == 2
+        assert server.drain(timeout=5.0) is True
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        idle.close()
 
 
 def test_drain_refuses_new_connections(server_client):
