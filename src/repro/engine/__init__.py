@@ -5,7 +5,7 @@ store, with "queries in SQL with vendor-specific extensions for graph
 algorithms" and *explicit plans*.  This package plays that role:
 
 * :mod:`repro.engine.rows` — schemas, tables, hash/ordered/primary-key
-  indexes;
+  indexes and the maintained adjacency the graph traversals expand;
 * :mod:`repro.engine.catalog` — the SNB relational schema (person, knows,
   message, likes, forum, membership, ...), loaded from a generated
   network, plus table statistics;

@@ -70,6 +70,7 @@ class Catalog:
             PERSON_LANGUAGE).create_hash_index("person_id")
         knows = add("knows", KNOWS)
         knows.create_hash_index("person1_id")
+        knows.create_adjacency("person1_id", "person2_id")
         add("person_tag", PERSON_TAG).create_hash_index("person_id")
         study = add("study_at", STUDY_AT)
         study.create_hash_index("person_id")

@@ -5,7 +5,7 @@ parallel column arrays — under a :class:`~.rows.Schema`, and does its
 work as bulk list comprehensions / ``zip`` transposes / set operations;
 iterating an operator is the row view over that stream.
 ``TransitiveExpand`` expands whole BFS frontiers at once against the
-packed CSR adjacency (:meth:`~.rows.Table.csr`).
+edge table's maintained adjacency (:meth:`~.rows.Table.adjacency`).
 
 Operators count the tuples they produce (``tuples_out``, ``len(chunk)``
 per emitted chunk) — these are the *de facto* intermediate result
@@ -591,8 +591,9 @@ class TransitiveExpand(Operator):
     algorithms inside SQL queries").  Output schema: ``(node, distance)``
     for 1 ≤ distance ≤ max_depth, excluding the source.
 
-    Expands whole BFS frontiers against the packed CSR adjacency (one
-    slice-and-extend per frontier node, one set difference per level)
+    Expands whole BFS frontiers against the edge table's adjacency,
+    which ``Table.insert`` keeps current (one list extend per frontier
+    node, one set difference per level)
     and emits one chunk per level — so a consumer that stops early
     (Q13's shortest path) abandons the BFS at a level boundary.
     """
@@ -609,9 +610,9 @@ class TransitiveExpand(Operator):
         self.to_column = to_column
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        csr = self.edges.csr(self.from_column, self.to_column)
-        for frontier, depth in csr.frontier_bfs(self.source,
-                                                self.max_depth):
+        adjacency = self.edges.adjacency(self.from_column, self.to_column)
+        for frontier, depth in adjacency.frontier_bfs(self.source,
+                                                      self.max_depth):
             yield Chunk([frontier, [depth] * len(frontier)])
 
 

@@ -1,12 +1,14 @@
 """Row storage for the relational engine: schemas, tables, indexes.
 
 Tables are append-only lists of tuples (the update workload is
-insert-only), with three index kinds:
+insert-only), with four index kinds:
 
 * a **primary-key** dict (unique column → row),
 * **hash indexes** (column → list of rows) for foreign keys,
 * one **ordered index** per table (sorted ``(value, row)`` pairs) for
-  range scans, e.g. ``message.creation_date``.
+  range scans, e.g. ``message.creation_date``,
+* **adjacencies** (:class:`Adjacency`, source → neighbour list) over an
+  edge table's ``(from, to)`` column pair, for graph traversals.
 
 Each table keeps simple statistics (row count, per-column distinct counts
 on indexed columns) which the cardinality estimator consumes.
@@ -18,7 +20,6 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Iterator
 
 from ..errors import DuplicateError, EngineError, NotFoundError
-from ..store.csr import CSRGraph
 
 
 class Schema:
@@ -63,6 +64,73 @@ class Schema:
         return Schema(merged)
 
 
+class Adjacency:
+    """Per-source neighbour lists of one edge relation, in row order.
+
+    :meth:`Table.create_adjacency` builds it once from the table's rows
+    and :meth:`Table.insert` appends every later row to it, so one
+    object stays current for the table's lifetime.  ``frontier_bfs``
+    runs level-batched BFS (one list extend per frontier node, one set
+    difference per level), ``gather`` concatenates neighbour lists.
+    """
+
+    __slots__ = ("_from", "_to", "_targets", "_edges")
+
+    def __init__(self, from_position: int, to_position: int,
+                 rows: Iterable[tuple] = ()) -> None:
+        self._from = from_position
+        self._to = to_position
+        self._targets: dict[Any, list] = {}
+        # A counter, not a sum over ``_targets``: a reader's ``len()``
+        # must not iterate the dict an inserting thread grows.
+        self._edges = 0
+        for row in rows:
+            self.add(row)
+
+    def add(self, row: tuple) -> None:
+        source = row[self._from]
+        targets = self._targets.get(source)
+        if targets is None:
+            targets = self._targets[source] = []
+        targets.append(row[self._to])
+        self._edges += 1
+
+    def __len__(self) -> int:
+        return self._edges
+
+    def neighbors(self, node: Any) -> list:
+        """The live neighbour list of ``node`` (empty if none); like
+        :meth:`Table.probe`, callers must not mutate it."""
+        return self._targets.get(node, [])
+
+    def gather(self, nodes: Iterable[Any]) -> list:
+        """All neighbors of ``nodes`` concatenated (with duplicates)."""
+        out: list = []
+        extend = out.extend
+        get = self._targets.get
+        for node in nodes:
+            targets = get(node)
+            if targets is not None:
+                extend(targets)
+        return out
+
+    def frontier_bfs(self, source: Any,
+                     max_hops: int) -> Iterator[tuple[list, int]]:
+        """Yield ``(frontier_nodes, depth)`` per BFS level, excluding
+        the source; stops when a level is empty or depth exceeds
+        ``max_hops``."""
+        seen = {source}
+        frontier = [source]
+        for depth in range(1, max_hops + 1):
+            fresh = set(self.gather(frontier))
+            fresh.difference_update(seen)
+            if not fresh:
+                return
+            seen.update(fresh)
+            frontier = list(fresh)
+            yield frontier, depth
+
+
 class Table:
     """One relational table with its indexes and statistics."""
 
@@ -78,10 +146,7 @@ class Table:
         self._ordered_index: list[tuple[Any, tuple]] = []
         # Parallel key array so range scans bisect without copying.
         self._ordered_keys: list[Any] = []
-        # Lazily packed CSR adjacency per (from, to) column pair; the
-        # epoch is the row count at build time (tables are append-only,
-        # so a changed count is the only possible invalidation).
-        self._csr: dict[tuple[str, str], tuple[int, CSRGraph]] = {}
+        self._adjacencies: dict[tuple[str, str], Adjacency] = {}
 
     # -- schema -------------------------------------------------------------
 
@@ -106,34 +171,50 @@ class Table:
             (row[position], row) for row in self.rows)
         self._ordered_keys = [entry[0] for entry in self._ordered_index]
 
+    def create_adjacency(self, from_column: str, to_column: str) -> None:
+        """Declare an :class:`Adjacency` over ``(from_column,
+        to_column)``, built once from the current rows.
+
+        Like the other indexes it is declared before the table is
+        shared: a build on a reader's first traversal could miss the
+        row of an insert running on another thread at that moment.
+        """
+        key = (from_column, to_column)
+        if key not in self._adjacencies:
+            self._adjacencies[key] = Adjacency(
+                self.schema.position(from_column),
+                self.schema.position(to_column), self.rows)
+
     # -- mutation -------------------------------------------------------------
 
     def insert(self, row: tuple) -> None:
-        """Append a row, maintaining all indexes.
+        """Append a row, maintaining all indexes and adjacencies.
 
-        The row is published to ``rows`` *last*: ``len(rows)`` is the
-        epoch :meth:`csr` stamps its cache with, so every row an epoch
-        counts must already be in the indexes a concurrent reader (a
-        driver partition on another thread) builds from.
+        The row is published to ``rows`` *last*, so a concurrent reader
+        (a driver partition on another thread) that sees it counted in
+        ``rows`` finds it in every index and adjacency too.
         """
         if len(row) != len(self.schema):
             raise EngineError(
                 f"row arity {len(row)} != schema arity "
                 f"{len(self.schema)} for {self.name}")
+        positions = self.schema._positions
         if self.primary_key is not None:
-            key = row[self.schema.position(self.primary_key)]
+            key = row[positions[self.primary_key]]
             if key in self._pk_index:
                 raise DuplicateError(
                     f"{self.name}.{self.primary_key}={key} exists")
             self._pk_index[key] = row
         for column, index in self._hash_indexes.items():
-            value = row[self.schema.position(column)]
-            index.setdefault(value, []).append(row)
+            index.setdefault(row[positions[column]], []).append(row)
         if self._ordered_column is not None:
-            value = row[self.schema.position(self._ordered_column)]
+            value = row[positions[self._ordered_column]]
             position = bisect_right(self._ordered_keys, value)
             self._ordered_keys.insert(position, value)
             self._ordered_index.insert(position, (value, row))
+        if self._adjacencies:
+            for adjacency in self._adjacencies.values():
+                adjacency.add(row)
         self.rows.append(row)
 
     def bulk_load(self, rows: Iterable[tuple]) -> None:
@@ -177,39 +258,15 @@ class Table:
         for i in indices:
             yield self._ordered_index[i][1]
 
-    def csr(self, from_column: str, to_column: str) -> CSRGraph:
-        """Packed adjacency over ``(from_column, to_column)`` edges.
-
-        Built lazily and cached per row-count epoch; the hash-index
-        postings (when present) provide the same per-source neighbor
-        order as a row scan, so both builds produce identical graphs.
-
-        The epoch is read *before* the build and :meth:`insert`
-        publishes ``rows`` last, so a graph cached under epoch *n* holds
-        at least the first *n* rows even when another thread inserts
-        mid-build: a cache hit can never be missing a published row.
-        """
-        key = (from_column, to_column)
-        entry = self._csr.get(key)
-        epoch = len(self.rows)
-        if entry is not None and entry[0] == epoch:
-            return entry[1]
-        from_position = self.schema.position(from_column)
-        to_position = self.schema.position(to_column)
-        index = self._hash_indexes.get(from_column)
-        if index is not None:
-            # list(): iterating the live dict while another thread
-            # inserts a new key raises "dictionary changed size".
-            postings = list(index.items())
-            graph = CSRGraph.from_adjacency(
-                {source: [row[to_position] for row in rows]
-                 for source, rows in postings})
-        else:
-            graph = CSRGraph.from_edges(
-                (row[from_position], row[to_position])
-                for row in self.rows)
-        self._csr[key] = (epoch, graph)
-        return graph
+    def adjacency(self, from_column: str, to_column: str) -> Adjacency:
+        """The :class:`Adjacency` declared over ``(from_column,
+        to_column)`` — the same object across inserts."""
+        adjacency = self._adjacencies.get((from_column, to_column))
+        if adjacency is None:
+            raise EngineError(
+                f"no adjacency on {self.name}"
+                f"({from_column} → {to_column})")
+        return adjacency
 
     # -- statistics -------------------------------------------------------------
 

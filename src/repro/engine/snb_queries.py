@@ -713,13 +713,13 @@ def q13(catalog: Catalog, params: g13.Q13Params) -> list[g13.Q13Result]:
 def _q14_search(catalog: Catalog, params: g14.Q14Params):
     """BFS distances from x plus all shortest x→y paths.
 
-    The BFS runs frontier-at-a-time against the packed CSR adjacency;
-    neighbor order is the knows index posting order, which fixes the
-    path enumeration order.
+    The BFS runs frontier-at-a-time against the knows adjacency, which
+    ``Table.insert`` keeps current; neighbor order is knows row order,
+    which fixes the path enumeration order.
     """
     source, target = params.person_x_id, params.person_y_id
-    csr = catalog.table("knows").csr("person1_id", "person2_id")
-    neighbors = csr.neighbors
+    adjacency = catalog.table("knows").adjacency("person1_id", "person2_id")
+    neighbors = adjacency.neighbors
     distances: dict[int, int] = {source: 0}
     found = None
     frontier = [source]
@@ -727,7 +727,7 @@ def _q14_search(catalog: Catalog, params: g14.Q14Params):
     seen = {source}
     while frontier and found is None:
         depth += 1
-        fresh = set(csr.gather(frontier))
+        fresh = set(adjacency.gather(frontier))
         fresh.difference_update(seen)
         if not fresh:
             break

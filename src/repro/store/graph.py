@@ -571,7 +571,9 @@ class Transaction:
         """
         self._check_open()
         snapshot = self.snapshot
-        for vid, record in self.store._vertices.get(label, {}).items():
+        # list(): a commit on another thread may add keys mid-scan.
+        table = self.store._vertices.get(label, {})
+        for vid, record in list(table.items()):
             props = record.visible(snapshot)
             if props is not None:
                 yield vid, props
@@ -588,7 +590,8 @@ class Transaction:
         """
         self._check_open()
         snapshot = self.snapshot
-        for src, records in self.store._out.get(edge_label, {}).items():
+        table = self.store._out.get(edge_label, {})
+        for src, records in list(table.items()):
             for position in range(len(records)):
                 record = records[position]
                 if record.ts <= snapshot:
@@ -602,7 +605,7 @@ class Transaction:
         self._check_open()
         snapshot = self.snapshot
         table = self.store._vertices.get(label, {})
-        total = sum(1 for record in table.values()
+        total = sum(1 for record in list(table.values())
                     if record.visible(snapshot) is not None)
         total += sum(1 for (lbl, __) in self.new_vertices if lbl == label)
         return total

@@ -39,6 +39,7 @@ def _people():
 def _edges():
     table = Table("knows", Schema(("person1_id", "person2_id")))
     table.create_hash_index("person1_id")
+    table.create_adjacency("person1_id", "person2_id")
     pairs = [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)]
     table.bulk_load(pairs)
     return table

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateError, EngineError, NotFoundError
-from repro.engine.rows import Schema, Table
+from repro.engine.rows import Adjacency, Schema, Table
 
 
 class TestSchema:
@@ -130,9 +130,37 @@ class TestTable:
         assert keys == sorted(keys)
 
 
+class TestAdjacency:
+    def test_neighbors_preserve_row_order(self):
+        adjacency = Adjacency(0, 1, [(1, 2), (1, 3), (2, 1)])
+        assert adjacency.neighbors(1) == [2, 3]
+        assert adjacency.neighbors(2) == [1]
+        assert adjacency.neighbors(99) == []
+        assert len(adjacency) == 3
+
+    def test_rows_group_by_source(self):
+        adjacency = Adjacency(0, 1, [(1, 2), (2, 3), (1, 4), (4, 1)])
+        assert adjacency.neighbors(1) == [2, 4]
+        assert adjacency.neighbors(2) == [3]
+        assert adjacency.neighbors(4) == [1]
+        assert len(adjacency) == 4
+
+    def test_gather_concatenates_with_duplicates(self):
+        adjacency = Adjacency(0, 1, [(1, 2), (1, 3), (2, 3)])
+        assert adjacency.gather([1, 2]) == [2, 3, 3]
+
+    def test_frontier_bfs_levels(self):
+        adjacency = Adjacency(0, 1, [(1, 2), (1, 3), (2, 1), (2, 4),
+                                     (3, 1), (4, 2), (4, 5), (5, 4)])
+        levels = list(adjacency.frontier_bfs(1, 10))
+        assert [(sorted(frontier), depth) for frontier, depth in levels] \
+            == [([2, 3], 1), ([4], 2), ([5], 3)]
+
+
 def _edge_table():
     table = Table("edges", Schema(("src", "dst")))
     table.create_hash_index("src")
+    table.create_adjacency("src", "dst")
     return table
 
 
@@ -150,21 +178,23 @@ def _fresh_build(table):
 class TestCsrUnderConcurrentInsert:
     def test_reader_inside_insert_cannot_cache_a_stale_graph(self):
         """A reader on another thread that runs in the middle of
-        ``insert`` must not leave behind a graph that lacks the new row
-        under the epoch that counts it (deterministic interleaving: the
-        index dict calls ``csr()`` from inside the insert)."""
+        ``insert`` gets the table's one adjacency, and that object holds
+        the new row once ``insert`` returns (deterministic interleaving:
+        the index dict calls ``adjacency()`` from inside the insert)."""
         table = _edge_table()
         table.insert((1, 2))
+        seen = []
 
         class ReaderInsideInsert(dict):
             def setdefault(self, key, default=None):
-                table.csr("src", "dst")
+                seen.append(table.adjacency("src", "dst"))
                 return super().setdefault(key, default)
 
         table._hash_indexes["src"] = ReaderInsideInsert(
             table._hash_indexes["src"])
         table.insert((1, 3))
-        assert list(table.csr("src", "dst").neighbors(1)) == [2, 3]
+        assert seen and seen[0] is table.adjacency("src", "dst")
+        assert list(table.adjacency("src", "dst").neighbors(1)) == [2, 3]
 
     def test_soak_final_graph_equals_fresh_build(self):
         table = _edge_table()
@@ -175,10 +205,11 @@ class TestCsrUnderConcurrentInsert:
             try:
                 while not stop.is_set():
                     published = len(table.rows)
-                    graph = table.csr("src", "dst")
+                    graph = table.adjacency("src", "dst")
                     # Every row published before the call is in the
-                    # graph it returns, cached or just rebuilt.
+                    # adjacency it returns: insert adds it there first.
                     assert len(graph) >= published
+                    list(graph.frontier_bfs(0, 3))
             except BaseException as exc:  # surfaced by the main thread
                 errors.append(exc)
 
@@ -200,4 +231,5 @@ class TestCsrUnderConcurrentInsert:
         assert not errors, errors
         assert i > 0
         expected = _fresh_build(table)
-        assert _adjacency(table.csr("src", "dst"), expected) == expected
+        assert _adjacency(table.adjacency("src", "dst"), expected) \
+            == expected

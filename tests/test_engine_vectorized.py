@@ -1,4 +1,4 @@
-"""Chunked execution building blocks: chunks, predicates, table CSR.
+"""Chunked execution building blocks: chunks, predicates, adjacency.
 
 Operators exchange fixed-size chunks of parallel column arrays.  These
 tests pin the chunk/predicate building blocks; query results are
@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datagen.update_stream import UpdateKind
 from repro.engine import snb_queries
 from repro.engine.chunks import CHUNK_SIZE, Chunk
 from repro.engine.predicates import All, Compare, InSet, Where
+from repro.engine.rows import Schema, Table
+from repro.errors import EngineError
 
 
 class TestChunk:
@@ -62,24 +65,46 @@ class TestPredicates:
 class TestTableCSR:
     def test_matches_index_probe_order(self, loaded_catalog):
         knows = loaded_catalog.table("knows")
-        csr = knows.csr("person1_id", "person2_id")
+        adjacency = knows.adjacency("person1_id", "person2_id")
         sources = {row[0] for row in knows.rows[:50]}
         for person in sources:
-            assert list(csr.neighbors(person)) \
+            assert adjacency.neighbors(person) \
                 == [row[1] for row in knows.probe("person1_id", person)]
 
-    def test_epoch_invalidation_on_insert(self):
-        from repro.engine.rows import Schema, Table
-
+    def test_one_adjacency_stays_current_across_inserts(self):
         table = Table("edges", Schema(("src", "dst")))
-        table.create_hash_index("src")
         table.insert((1, 2))
-        first = table.csr("src", "dst")
-        assert table.csr("src", "dst") is first  # cached
+        table.create_adjacency("src", "dst")
+        adjacency = table.adjacency("src", "dst")
+        table.insert((2, 1))
         table.insert((1, 3))
-        rebuilt = table.csr("src", "dst")
-        assert rebuilt is not first
-        assert list(rebuilt.neighbors(1)) == [2, 3]
+        assert table.adjacency("src", "dst") is adjacency
+        assert adjacency.neighbors(1) == [2, 3]
+        assert adjacency.neighbors(2) == [1]
+        assert len(adjacency) == 3
+
+    def test_undeclared_adjacency_raises(self):
+        table = Table("edges", Schema(("src", "dst")))
+        with pytest.raises(EngineError):
+            table.adjacency("src", "dst")
+
+    def test_replayed_friendships_keep_knows_adjacency_current(
+            self, split, fresh_catalog):
+        """Each ADD_FRIENDSHIP of the fixture update stream lands in the same
+        adjacency object, in knows row order, for both endpoints."""
+        knows = fresh_catalog.table("knows")
+        adjacency = knows.adjacency("person1_id", "person2_id")
+        friendships = [op for op in split.updates
+                       if op.kind is UpdateKind.ADD_FRIENDSHIP]
+        assert friendships
+        for op in friendships:
+            snb_queries.execute_engine_update(fresh_catalog, op)
+            assert knows.adjacency("person1_id", "person2_id") \
+                is adjacency
+            for person in (op.payload.person1_id, op.payload.person2_id):
+                assert adjacency.neighbors(person) == [
+                    row[1] for row in knows.probe("person1_id", person)]
+        assert len(adjacency) == len(knows.rows)
 
 
 def test_execute_columns_matches_execute(loaded_catalog, curated_params):

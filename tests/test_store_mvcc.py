@@ -180,12 +180,17 @@ class TestAtomicVisibility:
                     txn.insert_vertex("pair", 2 * i + 1, {"batch": i})
             stop.set()
 
+        errors: list[BaseException] = []
+
         def reader():
-            while not stop.is_set():
-                with store.transaction() as txn:
-                    count = txn.count_vertices("pair")
-                    if count % 2 != 0:
-                        anomalies.append(count)
+            try:
+                while not stop.is_set():
+                    with store.transaction() as txn:
+                        count = txn.count_vertices("pair")
+                        if count % 2 != 0:
+                            anomalies.append(count)
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
 
         threads = [threading.Thread(target=writer),
                    threading.Thread(target=reader),
@@ -193,8 +198,31 @@ class TestAtomicVisibility:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
         assert anomalies == []
+
+    @pytest.mark.parametrize("scan", [
+        lambda txn: txn.vertices("pair"),
+        lambda txn: txn.edges("link"),
+    ], ids=["vertices", "edges"])
+    def test_scan_survives_a_commit_that_grows_its_table(self, scan):
+        """A scan paused mid-label while another transaction commits a
+        new key into the same table drains without error, and still
+        sees only its snapshot."""
+        store = GraphStore()
+        with store.transaction() as txn:
+            for vid in (1, 2):
+                txn.insert_vertex("pair", vid, {})
+                txn.insert_edge("link", vid, 3 - vid, {})
+        with store.transaction() as reader:
+            rows = scan(reader)
+            first = next(rows)
+            with store.transaction() as writer:
+                writer.insert_vertex("pair", 3, {})
+                writer.insert_edge("link", 3, 1, {})
+            assert len([first, *rows]) == 2
 
     def test_parallel_inserts_all_land(self):
         store = GraphStore()
