@@ -31,10 +31,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.connector import ConnectorProtocol
-from repro.core.sut import BaseSUT
+from repro.core.sut import BaseSUT, EngineSUT, StoreSUT
 from repro.driver.resilience import AbandonedAttemptError, \
     _attempt_state, default_is_transient
 from repro.errors import FatalSUTError, TransientError
+
+
+_SUT_CLASSES = {"store": StoreSUT, "engine": EngineSUT}
 
 
 class StubSUT:
@@ -226,6 +229,43 @@ def check_abandoned_never_double_applies(case: ConnectorCase) -> bool:
         live.done()
 
 
+def replay_is_noop(live: Live, op, name: str) -> None:
+    """Execute ``op`` twice on ``live``; the second must change nothing.
+
+    The applied count grows by one over both executions, and the state
+    digest after the replay equals the digest after the single apply.
+    """
+    before = live.applied_count()
+    live.connector.execute(op)
+    once = live.state_digest()
+    live.connector.execute(op)
+    assert live.state_digest() == once, \
+        f"{name}: the replay changed the state digest"
+    assert live.applied_count() == before + 1, \
+        f"{name}: applied {live.applied_count() - before} times, " \
+        f"not once"
+
+
+def check_replay_is_noop(case: ConnectorCase) -> bool:
+    """A replayed update is a no-op: the system owns exactly-once.
+
+    Executes the case's update twice -- a retry whose first answer was
+    lost, or a duplicate racing on another connection -- and requires
+    one application and the single-apply digest.  Returns False for
+    cases without state to observe (stubs and wrappers over them).
+    """
+    live = case.build()
+    try:
+        if live.applied_count is None or live.state_digest is None:
+            return False
+        assert live.update_op is not None, \
+            f"{case.name}: stateful case must provide an update probe"
+        replay_is_noop(live, live.update_op, case.name)
+        return True
+    finally:
+        live.done()
+
+
 def check_crash_recovery(case: ConnectorCase) -> bool:
     """An acknowledged update must survive a hard worker crash.
 
@@ -259,7 +299,7 @@ def check_crash_recovery(case: ConnectorCase) -> bool:
 ALL_CHECKS = (check_protocol_structure, check_close_idempotent,
               check_error_taxonomy,
               check_abandoned_never_double_applies,
-              check_crash_recovery)
+              check_replay_is_noop, check_crash_recovery)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +383,47 @@ DEFAULT_CASES = (
     ConnectorCase("FaultInjectingConnector", _fault_injecting),
     ConnectorCase("RemoteConnector", _remote),
 )
+
+
+def _applied_count(sut) -> int:
+    """Updates an in-process SUT has applied (replays excluded)."""
+    if isinstance(sut, EngineSUT):
+        return sut.applied_count
+    return sut.store.commit_count
+
+
+def sut_case(split, kind: str) -> ConnectorCase:
+    """An in-process SUT (``store`` or ``engine``) over the split's
+    bulk part, used directly as the connector."""
+    def build() -> Live:
+        sut = _SUT_CLASSES[kind].for_network(split.bulk)
+        return Live(sut, update_op=split.updates[0],
+                    applied_count=lambda: _applied_count(sut),
+                    state_digest=sut.digest)
+
+    return ConnectorCase(_SUT_CLASSES[kind].__name__, build)
+
+
+def remote_case(split, kind: str) -> ConnectorCase:
+    """A ``store`` or ``engine`` SUT behind a loopback wire server,
+    driven through :class:`~repro.net.RemoteConnector`."""
+    def build() -> Live:
+        from repro.net import RemoteConnector, ReproServer
+
+        sut = _SUT_CLASSES[kind].for_network(split.bulk)
+        server = ReproServer(sut)
+        host, port = server.start()
+        client = RemoteConnector(host, port, timeout=30.0)
+
+        def cleanup() -> None:
+            client.close()
+            server.shutdown()
+
+        return Live(client, update_op=split.updates[0],
+                    applied_count=lambda: _applied_count(sut),
+                    state_digest=client.digest, cleanup=cleanup)
+
+    return ConnectorCase(f"RemoteConnector({kind})", build)
 
 
 def sharded_case(split, shards: int = 2) -> ConnectorCase:

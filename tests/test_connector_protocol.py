@@ -24,19 +24,27 @@ from .connector_kit import (
     check_crash_recovery,
     check_error_taxonomy,
     check_protocol_structure,
+    check_replay_is_noop,
+    remote_case,
     sharded_case,
+    sut_case,
 )
 
 
 @pytest.fixture(scope="module")
 def all_cases(small_split) -> list[ConnectorCase]:
-    return [*DEFAULT_CASES, sharded_case(small_split, shards=2)]
+    return [*DEFAULT_CASES,
+            sut_case(small_split, "store"), sut_case(small_split, "engine"),
+            remote_case(small_split, "store"),
+            remote_case(small_split, "engine"),
+            sharded_case(small_split, shards=2)]
 
 
 # Parametrize over case *names*; the case objects come from the
-# fixture so the sharded case can reuse the session dataset.
+# fixture so the dataset-backed cases can reuse the session dataset.
 _CASE_NAMES = [case.name for case in DEFAULT_CASES] \
-    + ["ShardedStoreConnector"]
+    + ["StoreSUT", "EngineSUT", "RemoteConnector(store)",
+       "RemoteConnector(engine)", "ShardedStoreConnector"]
 
 
 def _case(all_cases, name: str) -> ConnectorCase:
@@ -64,6 +72,11 @@ def test_abandoned_attempt_never_double_applies(all_cases, name):
 
 
 @pytest.mark.parametrize("name", _CASE_NAMES)
+def test_replay_is_noop(all_cases, name):
+    check_replay_is_noop(_case(all_cases, name))
+
+
+@pytest.mark.parametrize("name", _CASE_NAMES)
 def test_crash_recovery_preserves_acked_updates(all_cases, name):
     check_crash_recovery(_case(all_cases, name))
 
@@ -81,6 +94,14 @@ def test_every_guarding_connector_is_actually_probed(all_cases):
               if check_abandoned_never_double_applies(case)]
     assert "FaultInjectingConnector" in probed
     assert "ShardedStoreConnector" in probed
+
+
+def test_replay_check_is_actually_probed(all_cases):
+    """The exactly-once check must not rot into all-skips."""
+    probed = [case.name for case in all_cases
+              if check_replay_is_noop(case)]
+    assert probed == ["StoreSUT", "EngineSUT", "RemoteConnector(store)",
+                      "RemoteConnector(engine)", "ShardedStoreConnector"]
 
 
 def test_taxonomy_check_is_actually_probed(all_cases):

@@ -23,6 +23,8 @@ from repro.driver import DriverConfig, ExecutionMode, WorkloadDriver
 from repro.errors import BenchmarkError
 from repro.workload.operations import EntityRef, ReadOperation
 
+from .connector_kit import remote_case, replay_is_noop, sharded_case, sut_case
+
 
 # -- EntityRef -------------------------------------------------------------
 
@@ -116,6 +118,37 @@ def test_execute_accepts_legacy_driver_shapes(sut, curated_params):
     legacy = ReadOperation(query_id=2, params=binding, due_time=0)
     assert sut.execute(legacy).value \
         == sut.execute(ComplexRead(2, binding)).value
+
+
+# -- exactly-once: a replayed update is a no-op on every shape -------------
+
+_SHAPES = {
+    "store": lambda split: sut_case(split, "store"),
+    "engine": lambda split: sut_case(split, "engine"),
+    "remote-store": lambda split: remote_case(split, "store"),
+    "remote-engine": lambda split: remote_case(split, "engine"),
+    "sharded": lambda split: sharded_case(split, shards=2),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_replay_is_noop_for_every_update_kind(small_split, shape):
+    """Each of the 8 update kinds, applied twice, applies once."""
+    firsts: dict = {}
+    for operation in small_split.updates:
+        firsts.setdefault(operation.kind, operation)
+    assert len(firsts) == 8
+    live = _SHAPES[shape](small_split).build()
+    failures = []
+    try:
+        for kind, operation in firsts.items():
+            try:
+                replay_is_noop(live, Update(operation), kind.name)
+            except Exception as exc:
+                failures.append(f"{type(exc).__name__}: {exc}")
+    finally:
+        live.done()
+    assert failures == []
 
 
 # -- the engine serializes itself ------------------------------------------
