@@ -7,7 +7,8 @@ load (parallel mode, several partitions).  Digest equality across all
 three legs is the hard gate: every run must leave byte-identical final
 state or this harness exits 1.  On top of the gate it reports the
 latency cost of the wire per operation class (mean/p99, both sides),
-the server's own request/busy/dedup counters, and writes the
+the server's request/busy counters and the served store's replay
+count, and writes the
 sharded-vs-single throughput row to the committed
 ``BENCH_server_load.json`` (the tracked perf trajectory).
 
@@ -145,6 +146,7 @@ def run_ab(persons: int, seed: int, partitions: int, workers: int,
         remote_report, remote_digest = _run(
             _config(persons, seed, partitions, remote=f"{host}:{port}"))
         stats = server.stats()
+        replays = server.sut.store.replay_count
     finally:
         server.shutdown()
 
@@ -168,7 +170,7 @@ def run_ab(persons: int, seed: int, partitions: int, workers: int,
         f"{remote_report.sut_name}",
         f"server:     requests={stats['requests']} "
         f"executed={stats['executed']} busy={stats['rejected_busy']} "
-        f"deduped={stats['deduped']}",
+        f"replays={replays}",
         f"recovery:   restart-to-first-read p50={recovery_p50}ms "
         f"p95={recovery_p95}ms over {supervisor['restarts']} kills "
         f"(digest {'held' if recovery_digest_held else 'DIVERGED'})",

@@ -15,7 +15,7 @@ Subcommands:
   (``--updates`` replays the update stream with interleaved reads and
   state checkpoints);
 * ``chaos`` — run the update workload under a seeded fault plan
-  (transient aborts, latency spikes, hangs, MVCC write conflicts) and
+  (transient aborts, latency spikes, MVCC write conflicts) and
   assert the perturbed run converges to the fault-free state digest;
 * ``serve`` — bulk-load a SUT and front it with the wire-protocol
   server, so ``benchmark --remote`` / ``chaos --remote`` drive it from
@@ -172,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of ops hit by a latency spike")
     chaos.add_argument("--latency-ms", type=float, default=2.0,
                        help="injected latency spike duration")
-    chaos.add_argument("--hang-rate", type=float, default=0.0,
-                       help="fraction of ops that stall then abort")
-    chaos.add_argument("--hang-ms", type=float, default=100.0,
-                       help="injected hang duration")
     chaos.add_argument("--fatal-rate", type=float, default=0.0,
                        help="fraction of ops raising a fatal SUT error "
                             "(digest will diverge unless 0)")
@@ -186,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--degrade", action="store_true",
                        help="skip ops that exhaust retries instead of "
                             "failing the run (graceful degradation)")
-    chaos.add_argument("--attempt-timeout", type=float, default=None,
-                       help="per-attempt watchdog budget in seconds")
     _add_deployment_flags(chaos, remote=True, wal_dir=True)
     chaos.add_argument("--shard-abort-rate", type=float, default=0.0,
                        help="--shards: fraction of worker applies "
@@ -239,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--retry-after", type=float, default=0.05,
                        help="retry hint (seconds) sent with busy "
                             "rejections")
-    serve.add_argument(
-        "--max-estimated-rows", type=float, default=None,
-        help="admission-control ceiling on a complex read's estimated "
-             "traversal cardinality (default: no ceiling)")
     _add_deployment_flags(serve, wal_dir=True)
     serve.add_argument(
         "--drain-timeout", type=float, default=5.0,
@@ -585,19 +575,17 @@ def _cmd_chaos(args) -> int:
 
     plan = FaultPlan.uniform(
         abort=args.abort_rate, latency=args.latency_rate,
-        hang=args.hang_rate, fatal=args.fatal_rate,
-        abort_attempts=args.abort_attempts,
-        latency_seconds=args.latency_ms / 1000.0,
-        hang_seconds=args.hang_ms / 1000.0)
+        fatal=args.fatal_rate, abort_attempts=args.abort_attempts,
+        latency_seconds=args.latency_ms / 1000.0)
     policy = RetryPolicy(
         max_retries=args.max_retries, base_backoff=0.0005,
-        max_backoff=0.05, attempt_timeout=args.attempt_timeout,
+        max_backoff=0.05,
         on_exhaustion=(DegradePolicy.DEGRADE if args.degrade
                        else DegradePolicy.FAIL_FAST))
     print(f"chaos soak: {args.persons} persons (seed {args.seed}), "
           f"plan seed {args.plan_seed}, abort={args.abort_rate} "
-          f"latency={args.latency_rate} hang={args.hang_rate} "
-          f"fatal={args.fatal_rate} conflicts={args.store_conflicts}")
+          f"latency={args.latency_rate} fatal={args.fatal_rate} "
+          f"conflicts={args.store_conflicts}")
     if args.remote and args.sut == "both":
         raise SystemExit(
             "--remote: pass --sut store or --sut engine matching "
@@ -673,7 +661,6 @@ def _cmd_serve(args) -> int:
         config = ServerConfig(
             host=args.host, port=args.port, workers=args.workers,
             retry_after=args.retry_after,
-            max_estimated_rows=args.max_estimated_rows,
             drain_timeout=args.drain_timeout)
         trace = _TraceSession(args.trace)
         server = ReproServer(sut, config)
@@ -691,12 +678,8 @@ def _cmd_serve(args) -> int:
             print("drain " + ("complete" if completed else "timed out"))
 
         signal.signal(signal.SIGTERM, _drain_handler)
-        admission = "off" if args.max_estimated_rows is None else \
-            f"max {args.max_estimated_rows:.0f} estimated rows " \
-            f"(avg degree {server.admission.average_degree:.1f})"
         print(f"serving {sut.name} on {host}:{port} "
-              f"(at most {args.workers} executing, "
-              f"admission {admission})")
+              f"(at most {args.workers} executing)")
         print("drive it with: repro benchmark "
               f"--persons {args.persons} --seed {args.seed} "
               f"--remote {host}:{port}")

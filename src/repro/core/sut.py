@@ -138,6 +138,7 @@ class StoreSUT(BaseSUT):
             return entry.run(txn, entity.id)
 
     def _update(self, operation: UpdateOperation) -> None:
+        # The store owns exactly-once: a replay commits nothing.
         execute_update(self.store, operation)
 
     def snapshot(self) -> dict[str, list]:
@@ -156,6 +157,10 @@ class EngineSUT(BaseSUT):
         #: The catalog mutates bare lists (no internal concurrency
         #: control): every operation and snapshot holds this lock.
         self._lock = threading.Lock()
+        #: Natural keys of the applied updates; under ``_lock``.
+        self._applied: set[tuple] = set()
+        #: Updates that found their key applied and did nothing.
+        self.replay_count = 0
 
     @classmethod
     def for_network(cls, network) -> "EngineSUT":
@@ -180,8 +185,20 @@ class EngineSUT(BaseSUT):
             raise WorkloadError(f"unknown short query S{query_id}")
         return run(self.catalog, entity.id)
 
+    @property
+    def applied_count(self) -> int:
+        """Updates applied (replays excluded)."""
+        return len(self._applied)
+
     def _update(self, operation: UpdateOperation) -> None:
+        # Runs under ``_lock``.  The key is recorded only once the
+        # insert returned: a failed attempt leaves the retry to apply.
+        key = operation.natural_key
+        if key in self._applied:
+            self.replay_count += 1
+            return
         engine_queries.execute_engine_update(self.catalog, operation)
+        self._applied.add(key)
 
     def snapshot(self) -> dict[str, list]:
         from ..validation.snapshot import snapshot_catalog

@@ -13,9 +13,11 @@ module packages that behavior as an explicit, testable policy:
   architecture-blog variant): each sleep is drawn uniformly from
   ``[base, 3 * previous]``, capped, from a seeded
   :class:`~repro.rng.RandomStream` so runs are reproducible;
-* **timeouts** — a per-attempt watchdog (the call runs on a helper
-  thread that is abandoned on expiry) and a per-operation wall-clock
-  budget spanning all attempts;
+* **timeouts** — a per-operation wall-clock budget spanning all
+  attempts, checked between them.  An attempt's own deadline lives in
+  its transport (the wire channel's, the shard router's): an
+  in-process call cannot be interrupted, and a retry whose first
+  attempt did land is the SUT's to answer as a replay;
 * **degradation** — when retries are exhausted, ``FAIL_FAST`` re-raises
   (today's behavior) while ``DEGRADE`` records the operation as
   *skipped* so the run — and dependency tracking — keeps going;
@@ -31,24 +33,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from ..errors import (
-    DriverError,
-    FatalSUTError,
-    OperationTimeoutError,
-    TransientError,
-)
+from ..errors import DriverError, FatalSUTError, TransientError
 from ..rng import RandomStream
 
 __all__ = [
-    "AbandonedAttemptError",
     "CircuitBreaker",
     "CircuitOpenError",
     "DegradePolicy",
     "RetryPolicy",
-    "attempt_abandoned",
-    "call_with_watchdog",
     "default_is_transient",
-    "raise_if_abandoned",
 ]
 
 
@@ -85,11 +78,8 @@ class RetryPolicy:
     base_backoff: float = 0.01
     #: Upper cap (seconds) on any single backoff sleep.
     max_backoff: float = 1.0
-    #: Wall-clock budget per attempt (watchdog-enforced); None = direct
-    #: in-thread call with no timeout.
-    attempt_timeout: float | None = None
-    #: Wall-clock budget for the operation across all attempts;
-    #: None = unbounded.
+    #: Wall-clock budget for the operation across all attempts, checked
+    #: after each failed one; None = unbounded.
     op_timeout: float | None = None
     #: Behavior on retry exhaustion (or an expired op budget).
     on_exhaustion: DegradePolicy = DegradePolicy.FAIL_FAST
@@ -146,87 +136,3 @@ class CircuitBreaker:
                 self.tripped = True
                 return True
             return False
-
-
-class AbandonedAttemptError(TransientError):
-    """An attempt noticed (post-hoc) that its watchdog gave up on it.
-
-    Raised *inside the abandoned helper thread* by connectors that call
-    :func:`raise_if_abandoned` after a delay — the exception is
-    discarded with the thread, but crucially the connector never
-    reaches its delegation/side-effect step, so the retry the caller
-    already started cannot be double-applied behind its back.
-    """
-
-
-#: Per-thread cancellation flag installed by :func:`call_with_watchdog`
-#: on its helper thread and set when the watchdog expires.
-_attempt_state = threading.local()
-
-
-def attempt_abandoned() -> bool:
-    """Has the watchdog abandoned the attempt running on this thread?
-
-    Always False outside a watchdog-supervised attempt.
-    """
-    cancel = getattr(_attempt_state, "cancel", None)
-    return cancel is not None and cancel.is_set()
-
-
-def raise_if_abandoned() -> None:
-    """Abort a side-effecting step the caller has already given up on.
-
-    Connectors call this *after* any sleep/stall and *before*
-    delegating to the SUT (or writing to the wire).  Without the check,
-    an attempt abandoned mid-delay would still apply its update once it
-    wakes — and so would the retry already issued by the scheduler:
-    the classic double-apply.  The race window is the whole injected or
-    network delay, not a scheduler tick, which is why the PR-4 fault
-    injector's latency path and the remote connector's send path are
-    both guarded.
-    """
-    if attempt_abandoned():
-        raise AbandonedAttemptError(
-            "attempt abandoned by its watchdog; refusing to proceed "
-            "to the side-effecting step")
-
-
-def call_with_watchdog(fn: Callable[[], object], timeout: float):
-    """Run ``fn`` with a wall-clock deadline; raise on expiry.
-
-    The call executes on a daemon helper thread joined with ``timeout``;
-    on expiry the helper is *abandoned* (Python threads cannot be
-    killed) and :class:`~repro.errors.OperationTimeoutError` is raised.
-    Abandonment is *observable* from inside the helper: a per-thread
-    cancellation flag is set before the timeout surfaces, and
-    connectors consult it via :func:`raise_if_abandoned` before any
-    side-effecting step, so hung or delayed calls stay side-effect
-    free.  Telemetry spans opened inside ``fn`` land on the helper
-    thread's context, detached from the partition's span tree.
-    """
-    box: list[tuple[str, object]] = []
-    cancel = threading.Event()
-
-    def runner() -> None:
-        _attempt_state.cancel = cancel
-        try:
-            box.append(("ok", fn()))
-        except BaseException as exc:  # re-raised on the caller thread
-            box.append(("err", exc))
-        finally:
-            _attempt_state.cancel = None
-
-    thread = threading.Thread(target=runner, daemon=True,
-                              name="driver-watchdog-call")
-    thread.start()
-    thread.join(timeout)
-    if not box:
-        # Flag first, then surface: by the time the retry loop sees the
-        # timeout, the abandoned helper is already cancellable.
-        cancel.set()
-        raise OperationTimeoutError(
-            f"operation attempt exceeded {timeout:.3f}s watchdog budget")
-    kind, value = box[0]
-    if kind == "err":
-        raise value  # type: ignore[misc]
-    return value

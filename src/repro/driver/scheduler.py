@@ -40,7 +40,6 @@ from .resilience import (
     CircuitOpenError,
     DegradePolicy,
     RetryPolicy,
-    call_with_watchdog,
 )
 
 if TYPE_CHECKING:
@@ -93,7 +92,8 @@ class DriverReport:
     skipped_by_class: dict[str, int] = field(default_factory=dict)
     #: Partitions whose failure budget was exceeded.
     breaker_trips: int = 0
-    #: Watchdog attempt timeouts plus expired per-op budgets.
+    #: Attempts that failed with :class:`OperationTimeoutError` (the
+    #: wire client's request deadline).
     op_timeouts: int = 0
 
     @property
@@ -412,19 +412,7 @@ class WorkloadDriver:
         backoff = policy.base_backoff
         while True:
             try:
-                if policy.attempt_timeout is not None:
-                    budget = policy.attempt_timeout
-                    if op_deadline is not None:
-                        budget = min(budget,
-                                     op_deadline - time.monotonic())
-                        if budget <= 0:
-                            raise OperationTimeoutError(
-                                f"per-op budget {policy.op_timeout:.3f}s "
-                                f"exhausted before attempt {attempt + 1}")
-                    call_with_watchdog(
-                        lambda: self.connector.execute(op), budget)
-                else:
-                    self.connector.execute(op)
+                self.connector.execute(op)
                 return True
             except Exception as exc:
                 if isinstance(exc, OperationTimeoutError):

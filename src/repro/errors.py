@@ -149,9 +149,10 @@ class DependencyViolationError(DriverError):
 class OperationTimeoutError(DriverError, TransientError):
     """An operation attempt exceeded its wall-clock budget.
 
-    Raised by the resilience policy's watchdog.  Transient: the attempt
-    is abandoned and the operation may be retried within its remaining
-    per-operation budget.
+    Raised when a request outlives its transport deadline (the wire
+    client's).  Transient: the operation may be retried within its
+    remaining per-operation budget, and a retried update that did land
+    the first time is the SUT's to answer as a replay.
     """
 
 

@@ -11,8 +11,8 @@ interleave:
   schedules, and the seeded decision function;
 * :mod:`~repro.faults.injector` — :class:`FaultInjectingConnector`, a
   wrapper composable with any connector (including the differential
-  one) that raises transient aborts, injects latency spikes, stalls
-  (hangs) and fatal errors according to the plan;
+  one) that raises transient aborts, injects latency spikes and
+  fatal errors according to the plan;
 * :mod:`~repro.faults.conflicts` — a store-level knob that makes
   :class:`~repro.store.graph.GraphStore` commits raise *genuine*
   :class:`~repro.errors.WriteConflictError` at a seeded rate, so the

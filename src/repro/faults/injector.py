@@ -7,9 +7,6 @@ calls according to a seeded :class:`~repro.faults.plan.FaultPlan`.  Faults are d
 
 * a transient abort fails the first ``attempts`` calls for that
   operation and then lets it through — exercising the retry loop;
-* a hang stalls and then aborts **without** delegating, so an attempt
-  abandoned by the scheduler's watchdog can never double-apply an
-  update behind the retry's back;
 * counts are deterministic for a given ``(seed, plan)`` regardless of
   thread interleaving.
 """
@@ -19,7 +16,6 @@ from __future__ import annotations
 import threading
 import time
 
-from ..driver.resilience import raise_if_abandoned
 from ..errors import FatalSUTError, TransientError
 from .plan import FaultKind, FaultPlan, FaultSpec
 
@@ -107,23 +103,6 @@ class FaultInjectingConnector:
             self._count(spec.kind, op_class)
             if spec.delay_seconds > 0:
                 time.sleep(spec.delay_seconds)
-                # If the watchdog abandoned this attempt during the
-                # injected delay, the retry it already triggered owns
-                # the operation now — delegating here would apply the
-                # update twice.  (Hangs never delegate; delays must
-                # re-check before they do.)
-                raise_if_abandoned()
-            return self.inner.execute(operation)
-        if spec.kind is FaultKind.HANG:
-            if attempt == 1:
-                self._count(spec.kind, op_class)
-                # Stall, then abort WITHOUT delegating: if a watchdog
-                # abandoned this attempt mid-sleep, the SUT must not be
-                # mutated behind the retry's back.
-                if spec.delay_seconds > 0:
-                    time.sleep(spec.delay_seconds)
-                raise InjectedTransientError(
-                    f"injected hang released for {op_class} (key {key})")
             return self.inner.execute(operation)
         # FATAL: every attempt fails — a correct policy never makes a
         # second one.

@@ -6,7 +6,7 @@ A :class:`FaultPlan` combines two layers:
   ``"*"`` applies to every class without its own entry);
 * **schedule** — explicit ``operation key → FaultSpec`` entries that
   override the probabilistic layer for targeted tests ("make exactly
-  the 17th update hang").
+  the 17th update abort twice").
 
 The decision for one operation is a pure function of ``(seed, key)``
 where ``key`` is a *stable identity* of the operation — its index in
@@ -32,10 +32,6 @@ class FaultKind(Enum):
     ABORT = "abort"
     #: Latency spike: the attempt sleeps, then executes normally.
     LATENCY = "latency"
-    #: Hang: the first attempt stalls for ``delay_seconds`` and then
-    #: aborts *without* touching the SUT (so a watchdog-abandoned
-    #: attempt cannot double-apply an update); retries run clean.
-    HANG = "hang"
     #: Fatal: every attempt raises :class:`FatalSUTError`; never
     #: retried, the operation cannot succeed.
     FATAL = "fatal"
@@ -48,7 +44,7 @@ class FaultSpec:
     kind: FaultKind
     #: ABORT: number of consecutive failing attempts before success.
     attempts: int = 1
-    #: LATENCY / HANG: injected stall in seconds.
+    #: LATENCY: injected stall in seconds.
     delay_seconds: float = 0.0
 
 
@@ -56,21 +52,19 @@ class FaultSpec:
 class ClassRates:
     """Per-op-class fault probabilities (independent thresholds).
 
-    The four rates must sum to at most 1: one uniform draw per
+    The three rates must sum to at most 1: one uniform draw per
     operation selects at most one fault kind.
     """
 
     abort: float = 0.0
     latency: float = 0.0
-    hang: float = 0.0
     fatal: float = 0.0
     #: Failing attempts per injected abort.
     abort_attempts: int = 1
     latency_seconds: float = 0.005
-    hang_seconds: float = 0.25
 
     def __post_init__(self) -> None:
-        total = self.abort + self.latency + self.hang + self.fatal
+        total = self.abort + self.latency + self.fatal
         if not 0.0 <= total <= 1.0:
             raise ValueError(
                 f"fault rates must sum to [0, 1], got {total}")
@@ -89,16 +83,13 @@ class FaultPlan:
 
     @classmethod
     def uniform(cls, abort: float = 0.0, latency: float = 0.0,
-                hang: float = 0.0, fatal: float = 0.0,
-                abort_attempts: int = 1,
-                latency_seconds: float = 0.005,
-                hang_seconds: float = 0.25) -> "FaultPlan":
+                fatal: float = 0.0, abort_attempts: int = 1,
+                latency_seconds: float = 0.005) -> "FaultPlan":
         """A plan applying one rate set to every operation class."""
         return cls(rates={"*": ClassRates(
-            abort=abort, latency=latency, hang=hang, fatal=fatal,
+            abort=abort, latency=latency, fatal=fatal,
             abort_attempts=abort_attempts,
-            latency_seconds=latency_seconds,
-            hang_seconds=hang_seconds)})
+            latency_seconds=latency_seconds)})
 
     def with_fault(self, key, spec: FaultSpec) -> "FaultPlan":
         """A copy with one more explicit schedule entry."""
@@ -133,10 +124,6 @@ class FaultPlan:
             return FaultSpec(FaultKind.LATENCY,
                              delay_seconds=rates.latency_seconds)
         draw -= rates.latency
-        if draw < rates.hang:
-            return FaultSpec(FaultKind.HANG,
-                             delay_seconds=rates.hang_seconds)
-        draw -= rates.hang
         if draw < rates.fatal:
             return FaultSpec(FaultKind.FATAL)
         return None
@@ -144,5 +131,5 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         return not self.schedule and all(
-            r.abort == r.latency == r.hang == r.fatal == 0.0
+            r.abort == r.latency == r.fatal == 0.0
             for r in self.rates.values())

@@ -9,14 +9,10 @@ that boundary without changing anything above it:
   covering every operation and result shape of the unified
   ``execute(op) -> OperationResult`` API, stamped with a version derived
   from that registry's schema;
-* :mod:`repro.net.admission` — pre-flight cost estimation reusing the
-  engine's cardinality estimator, so runaway traversals are refused
-  before execution;
 * :mod:`repro.net.server` — a threaded socket server fronting any SUT:
   one thread per connection running each request where it reads it,
   backpressure (reject-with-retry-after when ``workers`` requests are
-  already executing), and exactly-once update application keyed on
-  client-supplied operation tokens;
+  already executing); exactly-once updates are the SUT's own;
 * :mod:`repro.net.client` — :class:`RemoteConnector`, implementing the
   same connector protocol as the in-process SUTs (a pool of
   :mod:`repro.net.channel` channels, one per concurrent caller; timeout
@@ -25,9 +21,7 @@ that boundary without changing anything above it:
   CLIs work unchanged over the wire.
 """
 
-from .admission import Admission, AdmissionController
 from .client import (
-    AdmissionRejectedError,
     RemoteConnector,
     RemoteFatalError,
     RemoteProtocolError,
@@ -52,9 +46,6 @@ from .codec import (
 from .server import ReproServer, ServerConfig
 
 __all__ = [
-    "Admission",
-    "AdmissionController",
-    "AdmissionRejectedError",
     "CodecError",
     "FrameReader",
     "FrameTooLargeError",

@@ -12,8 +12,8 @@ wire-level perturbations.
 Failure mapping onto the existing error taxonomy:
 
 * a request that outlives its timeout → :class:`OperationTimeoutError`
-  (transient — the retry policy replays it; the server's op-key dedup
-  guarantees the abandoned attempt cannot double-apply);
+  (transient — the retry policy replays it; if the first attempt did
+  execute server-side, the SUT answers the replayed update as a no-op);
 * connection refused / reset mid-request → ``ConnectionError``
   (transient by :func:`~repro.driver.resilience.default_is_transient`);
 * a server-side :class:`~repro.errors.TransientError` →
@@ -21,9 +21,7 @@ Failure mapping onto the existing error taxonomy:
 * a server-side fatal (or unclassified) failure →
   :class:`RemoteFatalError` (never retried);
 * backpressure (every execution slot taken) → :class:`ServerBusyError`
-  (transient, carries the server's ``retry_after`` hint);
-* admission-control refusal → :class:`AdmissionRejectedError` (fatal:
-  retrying an over-cost traversal cannot make it admissible).
+  (transient, carries the server's ``retry_after`` hint).
 
 Each pooled connection is a :class:`~repro.net.channel.Channel` over
 one socket: one request in flight, sent and answered on the caller's
@@ -34,14 +32,12 @@ in flight at the server.
 
 from __future__ import annotations
 
-import os
 import select
 import socket
 import threading
 import time
 
-from ..core.operation import Update, as_operation
-from ..driver.resilience import raise_if_abandoned
+from ..core.operation import as_operation
 from ..errors import (
     FatalSUTError,
     OperationTimeoutError,
@@ -69,15 +65,6 @@ class ServerBusyError(TransientError):
     def __init__(self, message: str, retry_after: float | None) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class AdmissionRejectedError(FatalSUTError):
-    """Admission control refused the operation pre-execution.
-
-    Classified fatal not because the SUT is broken but because the
-    refusal is deterministic policy: the same query costs the same
-    rows on every retry.
-    """
 
 
 class _SocketTransport:
@@ -139,8 +126,7 @@ class RemoteConnector:
     def __init__(self, host: str, port: int, *,
                  pool_size: int | None = None,
                  timeout: float | None = 30.0,
-                 connect_timeout: float = 10.0,
-                 client_id: str | None = None) -> None:
+                 connect_timeout: float = 10.0) -> None:
         self.host = host
         self.port = port
         #: Cap on open connections; None opens one per concurrent caller.
@@ -148,9 +134,6 @@ class RemoteConnector:
         #: Per-request response budget (seconds); None waits forever.
         self.timeout = timeout
         self.connect_timeout = connect_timeout
-        #: Prefix making op_keys unique across driver processes that
-        #: may talk to one long-lived server.
-        self.client_id = client_id or f"c{os.getpid()}-{id(self):x}"
         self._open: set[Channel] = set()
         self._idle: list[Channel] = []
         self._pool_cond = threading.Condition()
@@ -212,17 +195,8 @@ class RemoteConnector:
 
     def execute(self, operation):
         """Run one operation remotely; returns its OperationResult."""
-        # An attempt the watchdog already abandoned must not reach the
-        # wire at all — the retry owns the operation now.
-        raise_if_abandoned()
-        op = as_operation(operation)
-        request = {"kind": "execute", "op": codec.encode_operation(op)}
-        if isinstance(op, Update):
-            # Derived from the stream item's own fields, so every retry
-            # of one update carries the same key and the server's dedup
-            # table recognizes the replay of an attempt that timed out
-            # on the wire but executed anyway.
-            request["op_key"] = f"{self.client_id}:{op.operation.op_key}"
+        request = {"kind": "execute",
+                   "op": codec.encode_operation(as_operation(operation))}
         return codec.decode_result(self._round_trip(request)["result"])
 
     # -- admin -------------------------------------------------------------
@@ -265,8 +239,6 @@ class RemoteConnector:
             if error == "busy":
                 raise ServerBusyError(message,
                                       response.get("retry_after"))
-            if error == "rejected":
-                raise AdmissionRejectedError(message)
             if error == "transient":
                 raise RemoteTransientError(message)
             raise RemoteFatalError(message)

@@ -12,17 +12,12 @@ bodies; a client built from another registry schema is refused):
 * **backpressure** — at most ``workers`` requests execute at once; one
   more is rejected *immediately* with a ``busy`` error carrying
   ``retry_after`` seconds instead of waiting for a slot (a wedged
-  server is how real benchmark SUTs melt down);
-* **admission control** — complex reads whose estimated traversal
-  cardinality exceeds the configured ceiling are refused pre-execution
-  (:mod:`repro.net.admission`);
-* **exactly-once updates** — requests may carry an ``op_key`` token;
-  the server remembers each token's outcome and replays it instead of
-  re-executing, so a client retry after a wire-level timeout can never
-  double-apply an update whose first attempt actually ran.  Only
-  results and fatal errors are remembered: a transient failure means
-  the update never applied, so the token is released and the retry
-  re-executes.
+  server is how real benchmark SUTs melt down).
+
+The server keeps no per-update state: exactly-once belongs to the SUT.
+A client retry after a wire timeout, or a duplicate on another
+connection, simply executes again, and the SUT answers a replayed
+update as a no-op.
 """
 
 from __future__ import annotations
@@ -31,19 +26,15 @@ import contextlib
 import socket
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import telemetry
 from ..errors import FatalSUTError, TransientError
 from . import codec
-from .admission import AdmissionController
 
 #: Telemetry counter names (registered only when telemetry is active).
 REQUESTS_COUNTER = "net.server.requests"
 BUSY_COUNTER = "net.server.rejected_busy"
-ADMISSION_COUNTER = "net.server.rejected_admission"
-DEDUP_COUNTER = "net.server.deduped"
 
 
 @dataclass
@@ -58,23 +49,10 @@ class ServerConfig:
     workers: int = 64
     #: Retry hint (seconds) sent with busy rejections.
     retry_after: float = 0.05
-    #: Admission ceiling on estimated traversal rows; None disables.
-    max_estimated_rows: float | None = None
-    #: Completed op_key outcomes kept for duplicate-replay (FIFO).
-    dedup_capacity: int = 65536
     #: Default grace for :meth:`ReproServer.drain` (SIGTERM handling):
     #: stop accepting, let in-flight requests finish for up to this
     #: many seconds, then close.
     drain_timeout: float = 5.0
-
-
-class _DedupEntry:
-    """One op_key's outcome; ``None`` while the first attempt runs."""
-
-    __slots__ = ("outcome",)
-
-    def __init__(self) -> None:
-        self.outcome: dict | None = None
 
 
 class _Connection:
@@ -107,8 +85,6 @@ class ReproServer:
     def __init__(self, sut, config: ServerConfig | None = None) -> None:
         self.sut = sut
         self.config = config or ServerConfig()
-        self.admission = AdmissionController.for_sut(
-            sut, self.config.max_estimated_rows)
         self._listener: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
         self._connections: list[_Connection] = []
@@ -116,18 +92,12 @@ class ReproServer:
         #: Free execution slots; a request that finds none is busy.
         self._slots = threading.BoundedSemaphore(
             max(1, self.config.workers))
-        self._dedup: OrderedDict[str, _DedupEntry] = OrderedDict()
-        self._dedup_lock = threading.Lock()
-        #: Notified whenever an in-flight op_key gets its outcome.
-        self._dedup_done = threading.Condition(self._dedup_lock)
         self._stats_lock = threading.Lock()
         self._stats = {
             "requests": 0,
             "executed": 0,
             "errors": 0,
             "rejected_busy": 0,
-            "rejected_admission": 0,
-            "deduped": 0,
         }
         self._shutdown = threading.Event()
 
@@ -180,8 +150,7 @@ class ReproServer:
 
         Stops accepting new connections, then ends the *reading* side
         of every live one: a request already read still executes and
-        is answered (a duplicate waiting on an in-flight ``op_key``
-        hears the replayed outcome), and then its thread sees EOF.
+        is answered, and then its thread sees EOF.
         A bare :meth:`shutdown` resets every socket mid-request
         instead.  Once every connection thread has exited (or
         ``timeout`` seconds pass), the full shutdown runs.  Returns
@@ -218,10 +187,7 @@ class ReproServer:
 
     def stats(self) -> dict:
         with self._stats_lock:
-            counters = dict(self._stats)
-        counters["admission_admitted"] = self.admission.admitted
-        counters["admission_rejected"] = self.admission.rejected
-        return counters
+            return dict(self._stats)
 
     def _count(self, name: str, telemetry_name: str | None = None) -> None:
         with self._stats_lock:
@@ -293,16 +259,6 @@ class ReproServer:
             return self._error_response(
                 request_id, "fatal", f"undecodable operation: {exc}")
 
-        verdict = self.admission.review(op)
-        if not verdict.admitted:
-            self._count("rejected_admission", ADMISSION_COUNTER)
-            return self._error_response(
-                request_id, "rejected",
-                f"admission control refused {op.op_class}: estimated "
-                f"{verdict.estimated_rows:.0f} rows > "
-                f"{self.admission.max_estimated_rows:.0f} "
-                f"({verdict.derivation})")
-
         if not self._slots.acquire(blocking=False):
             self._count("rejected_busy", BUSY_COUNTER)
             return self._error_response(
@@ -310,11 +266,7 @@ class ReproServer:
                 f"server busy ({self.config.workers} requests "
                 f"executing)", retry_after=self.config.retry_after)
         try:
-            op_key = message.get("op_key")
-            if op_key is None:
-                response = self._execute(op)
-            else:
-                response = self._execute_once(op_key, op)
+            response = self._execute(op)
         finally:
             self._slots.release()
         response["id"] = request_id
@@ -338,44 +290,6 @@ class ReproServer:
                     "value": {"digest": compute()}}
         return self._error_response(
             request_id, "fatal", f"unknown admin action {action!r}")
-
-    # -- dedup -------------------------------------------------------------
-
-    def _execute_once(self, op_key: str, op) -> dict:
-        """Execute under ``op_key`` at most once; replay duplicates.
-
-        A duplicate of an in-flight token waits here, on its own
-        connection's thread, for the first attempt's outcome.
-        """
-        with self._dedup_lock:
-            entry = self._dedup.get(op_key)
-            if entry is not None:
-                self._count("deduped", DEDUP_COUNTER)
-                self._dedup_done.wait_for(
-                    lambda: entry.outcome is not None)
-                return dict(entry.outcome, deduped=True)
-            entry = self._dedup[op_key] = _DedupEntry()
-            while len(self._dedup) > self.config.dedup_capacity:
-                # Evict the oldest *completed* outcome only.
-                for key, old in self._dedup.items():
-                    if old.outcome is not None:
-                        del self._dedup[key]
-                        break
-                else:
-                    break
-        outcome = self._execute(op)
-        with self._dedup_lock:
-            entry.outcome = outcome
-            if outcome.get("error") == "transient":
-                # A transient failure (e.g. a write conflict under
-                # concurrent connections) must not become the token's
-                # remembered outcome: the update never applied, so
-                # the client's retry has to re-execute rather than
-                # replay the error until its budget runs out.
-                # Duplicates already waiting hear the transient error.
-                del self._dedup[op_key]
-            self._dedup_done.notify_all()
-        return dict(outcome)
 
     def _execute(self, op) -> dict:
         """Run one operation; build the (id-less) outcome message."""

@@ -44,11 +44,13 @@ _EXECUTOR_BY_KIND: dict[UpdateKind, Callable] = {
 def execute_update(store: GraphStore, operation: UpdateOperation,
                    isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
                    ) -> None:
-    """Apply one update operation in its own committed transaction."""
+    """Apply one update operation in its own committed transaction;
+    a replay of an applied update commits nothing."""
     executor = _EXECUTOR_BY_KIND.get(operation.kind)
     if executor is None:
         raise WorkloadError(f"no executor for {operation.kind}")
     with store.transaction(isolation) as txn:
+        txn.key = operation.natural_key
         executor(txn, operation.payload)
 
 

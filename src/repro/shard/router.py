@@ -181,6 +181,8 @@ class ShardRouter:
         self._closed = False
         self._updates = 0
         self._multi_shard_updates = 0
+        #: Routed updates every involved worker had already applied.
+        self._replays = 0
         self._gather_pool = None
         self._pool_lock = threading.Lock()
         #: Coordinator decision log; always present (in-memory when no
@@ -377,9 +379,6 @@ class ShardRouter:
 
     def execute_update(self, operation: UpdateOperation) -> None:
         """Route one SNB update through the sharded commit protocol."""
-        from ..driver.resilience import raise_if_abandoned
-
-        raise_if_abandoned()
         executor = executor_for(operation.kind)
         recorder = _WriteRecorder()
         executor(recorder, operation.payload)
@@ -396,14 +395,16 @@ class ShardRouter:
             if len(involved) == 1:
                 shard = involved[0]
                 writes = per_shard[shard]
-                self.call(shard, "apply", op_key, writes.vertices,
-                          writes.halves, op_key=op_key)
-                return
-            self._multi_shard_updates += 1
-            self._two_phase(op_key, involved, per_shard)
+                replay = self.call(shard, "apply", op_key, writes.vertices,
+                                   writes.halves, op_key=op_key) == "replayed"
+            else:
+                self._multi_shard_updates += 1
+                replay = self._two_phase(op_key, involved, per_shard)
+            if replay:
+                self._replays += 1
 
     def _two_phase(self, op_key: str, involved: list[int],
-                   per_shard: dict[int, ShardWrites]) -> None:
+                   per_shard: dict[int, ShardWrites]) -> bool:
         """Prepare everywhere, log the decision, then send it.
 
         A prepare failure (duplicate, injected abort, timeout) logs
@@ -415,15 +416,18 @@ class ShardRouter:
         cannot fail semantically (validation happened at prepare and
         the epoch lock excludes other writers); a commit *timeout*
         still applies worker-side, and the retry's prepares then land
-        in the applied-table and replay as successes.
+        in the applied-table and replay as successes.  Returns True
+        when every shard had already applied the update (a replay).
         """
         self.txlog.log_begin(op_key, involved)
         prepared: list[int] = []
+        replay = True
         try:
             for shard in involved:
                 writes = per_shard[shard]
-                self.call(shard, "prepare", op_key, writes.vertices,
-                          writes.halves, op_key=op_key)
+                replay &= self.call(
+                    shard, "prepare", op_key, writes.vertices,
+                    writes.halves, op_key=op_key) == "already-applied"
                 prepared.append(shard)
         except BaseException:
             self.txlog.log_abort(op_key)
@@ -436,6 +440,7 @@ class ShardRouter:
         self.txlog.log_commit(op_key)
         for shard in involved:
             self.call(shard, "commit", op_key, op_key=op_key)
+        return replay
 
     # -- snapshot ----------------------------------------------------------
 
@@ -468,6 +473,7 @@ class ShardRouter:
             "num_shards": self.num_shards,
             "updates": self._updates,
             "multi_shard_updates": self._multi_shard_updates,
+            "replays": self._replays,
             "epoch": self._epoch,
             "coordinator": self.txlog.stats(),
             "shards": shards,

@@ -14,6 +14,11 @@ Concurrency design (documented here because it is the point of the SUT):
   than the transaction's snapshot raises
   :class:`~repro.errors.WriteConflictError` (or
   :class:`~repro.errors.DuplicateError` for conflicting inserts).
+* Exactly-once lives here too: a transaction carrying an update's
+  natural key (:attr:`Transaction.key`) commits at most once.  The key is
+  checked under the commit mutex before validation and recorded with the
+  writes, so a replay — a retry whose answer was lost, or a duplicate
+  racing on another connection — commits nothing and counts one replay.
 
 Because SNB-Interactive updates are pure inserts, snapshot isolation is
 serializable for this workload — precisely the observation the paper makes
@@ -98,6 +103,9 @@ class GraphStore:
         self._last_committed = 0
         self._commits = 0
         self._aborts = 0
+        #: Natural keys of the committed keyed transactions.
+        self._applied: set[tuple] = set()
+        self._replays = 0
         #: Optional :class:`repro.faults.ConflictInjector`.  When
         #: attached, a seeded fraction of commits raise a genuine
         #: :class:`~repro.errors.WriteConflictError` before validation,
@@ -135,6 +143,11 @@ class GraphStore:
     def abort_count(self) -> int:
         return self._aborts
 
+    @property
+    def replay_count(self) -> int:
+        """Keyed commits that found their key applied and did nothing."""
+        return self._replays
+
     # -- internals used by Transaction ------------------------------------
 
     def _vertex_table(self, label: str) -> dict[int, _VertexRecord]:
@@ -160,6 +173,10 @@ class GraphStore:
         with self._commit_lock:
             if self.fault_injector is not None:
                 self.fault_injector.before_commit(txn)
+            key = txn.key
+            if key is not None and key in self._applied:
+                self._replays += 1
+                return 0
             snapshot = txn.snapshot
             for (label, vid), props in txn.new_vertices.items():
                 record = self._vertex_table(label).get(vid)
@@ -196,6 +213,8 @@ class GraphStore:
                     src, []).append(_EdgeRecord(dst, props, ts))
                 self._adjacency(label, Direction.IN).setdefault(
                     dst, []).append(_EdgeRecord(src, props, ts))
+            if key is not None:
+                self._applied.add(key)
             # Publish: the new snapshot becomes visible atomically here.
             self._last_committed = ts
             self._commits += 1
@@ -318,6 +337,11 @@ class Transaction:
     Reads see the transaction's snapshot plus its own uncommitted writes.
     """
 
+    #: The update's natural key
+    #: (:attr:`~repro.datagen.update_stream.UpdateOperation.natural_key`);
+    #: a keyed transaction whose key is already applied commits nothing.
+    key: tuple | None = None
+
     def __init__(self, store: GraphStore, isolation: IsolationLevel) -> None:
         self.store = store
         self.isolation = isolation
@@ -346,7 +370,8 @@ class Transaction:
         return self._start_snapshot
 
     def commit(self) -> int:
-        """Apply the write set; returns the commit timestamp (0 if empty)."""
+        """Apply the write set; returns the commit timestamp (0 if empty
+        or a replay)."""
         self._check_open()
         self._done = True
         if not (self.new_vertices or self.updated_vertices

@@ -1,7 +1,7 @@
 """Chaos soak: the strongest robustness property the harness can check.
 
 A run perturbed by injected faults — transient aborts, latency spikes,
-hangs, genuine MVCC write conflicts — must converge to the **exact same
+genuine MVCC write conflicts — must converge to the **exact same
 final state digest** as a fault-free run, with zero dependency
 timeouts.  The canonical snapshots of :mod:`repro.validation.snapshot`
 carry no commit timestamps, so the digest is insensitive to the retry

@@ -18,22 +18,20 @@ The contract, as checked:
 * **error taxonomy** — exceptions raised by the wrapped system cross
   the connector unwrapped, so the retry policy's transient/fatal
   classification still sees the taxonomy type;
-* **abandoned attempts** — a connector that can stall checks
-  :func:`~repro.driver.resilience.raise_if_abandoned` before its
-  side-effecting step, so an attempt the watchdog gave up on can never
-  double-apply an update behind the retry's back.
+* **replay** — a system with state applies an update executed twice
+  once: exactly-once is the SUT's, on every deployment shape;
+* **crash recovery** — a crash-tolerant system keeps an acknowledged
+  update across a hard kill of its workers.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.connector import ConnectorProtocol
 from repro.core.sut import BaseSUT, EngineSUT, StoreSUT
-from repro.driver.resilience import AbandonedAttemptError, \
-    _attempt_state, default_is_transient
+from repro.driver.resilience import default_is_transient
 from repro.errors import FatalSUTError, TransientError
 
 
@@ -108,9 +106,6 @@ class Live:
     update_op: object | None = None
     #: Times the probe update landed on the underlying state.
     applied_count: Callable[[], int] | None = None
-    #: True when the connector consults ``raise_if_abandoned`` before
-    #: its side-effecting step (stalling connectors must).
-    guards_abandonment: bool = False
     #: True when the underlying system survives a hard crash without
     #: losing acknowledged updates (arms ``check_crash_recovery``).
     supports_recovery: bool = False
@@ -189,46 +184,6 @@ def check_error_taxonomy(case: ConnectorCase) -> bool:
         live.done()
 
 
-def check_abandoned_never_double_applies(case: ConnectorCase) -> bool:
-    """An attempt the watchdog abandoned must not reach the SUT.
-
-    Simulates the watchdog by setting the per-thread cancellation flag
-    (exactly what :func:`call_with_watchdog` does on expiry), issues
-    the attempt, and requires (a) ``AbandonedAttemptError``, (b) zero
-    state change; the follow-up retry must then apply exactly once.
-    Returns False when the case does not guard abandonment (stall-free
-    connectors need no guard).
-    """
-    live = case.build()
-    try:
-        if not live.guards_abandonment:
-            return False
-        assert live.update_op is not None and live.applied_count, \
-            f"{case.name}: guarding case must provide an update probe"
-        before = live.applied_count()
-        cancel = threading.Event()
-        cancel.set()
-        _attempt_state.cancel = cancel
-        try:
-            try:
-                live.connector.execute(live.update_op)
-                raise AssertionError(
-                    f"{case.name}: abandoned attempt executed anyway")
-            except AbandonedAttemptError:
-                pass
-        finally:
-            _attempt_state.cancel = None
-        assert live.applied_count() == before, \
-            f"{case.name}: abandoned attempt mutated state"
-        live.connector.execute(live.update_op)  # the scheduler's retry
-        assert live.applied_count() == before + 1, \
-            f"{case.name}: retry after abandonment did not apply " \
-            f"exactly once"
-        return True
-    finally:
-        live.done()
-
-
 def replay_is_noop(live: Live, op, name: str) -> None:
     """Execute ``op`` twice on ``live``; the second must change nothing.
 
@@ -249,8 +204,8 @@ def replay_is_noop(live: Live, op, name: str) -> None:
 def check_replay_is_noop(case: ConnectorCase) -> bool:
     """A replayed update is a no-op: the system owns exactly-once.
 
-    Executes the case's update twice -- a retry whose first answer was
-    lost, or a duplicate racing on another connection -- and requires
+    Executes the case's update twice — a retry whose first answer was
+    lost, or a duplicate racing on another connection — and requires
     one application and the single-apply digest.  Returns False for
     cases without state to observe (stubs and wrappers over them).
     """
@@ -298,7 +253,6 @@ def check_crash_recovery(case: ConnectorCase) -> bool:
 
 ALL_CHECKS = (check_protocol_structure, check_close_idempotent,
               check_error_taxonomy,
-              check_abandoned_never_double_applies,
               check_replay_is_noop, check_crash_recovery)
 
 
@@ -352,8 +306,7 @@ def _fault_injecting() -> Live:
     from repro.faults import FaultInjectingConnector, FaultPlan
 
     stub = StubSUT()
-    # Every op takes the latency path: sleep, then the abandonment
-    # re-check, then delegate — the guarded stall this kit probes.
+    # Every op takes the latency path: sleep, then delegate.
     plan = FaultPlan.uniform(latency=1.0, latency_seconds=0.001)
     connector = FaultInjectingConnector(stub, plan)
 
@@ -363,8 +316,7 @@ def _fault_injecting() -> Live:
     return Live(connector,
                 wrapped_close_counts=lambda: [stub.closed],
                 arm_error=arm, update_op=probe_update(),
-                applied_count=lambda: stub.executed,
-                guards_abandonment=True)
+                applied_count=lambda: stub.executed)
 
 
 def _remote() -> Live:
@@ -429,9 +381,9 @@ def remote_case(split, kind: str) -> ConnectorCase:
 def sharded_case(split, shards: int = 2) -> ConnectorCase:
     """The sharded store as a driver connector (spawns real workers).
 
-    The router checks abandonment before routing a commit, so the
-    exactly-once probe runs against genuine worker processes; the
-    update probe is the first operation of the split's update stream.
+    The replay probe runs against genuine worker processes, whose
+    applied-tables absorb the duplicate; the update probe is the first
+    operation of the split's update stream.
     Workers get a shard WAL directory, so the case also exercises the
     crash-recovery check: ``crash`` kill -9s every worker and the
     supervised digest read must come back byte-identical.
@@ -459,8 +411,8 @@ def sharded_case(split, shards: int = 2) -> ConnectorCase:
                     wrapped_close_counts=lambda: [
                         1 if sut.router._closed else 0],
                     update_op=split.updates[0],
-                    applied_count=lambda: sut.router._updates,
-                    guards_abandonment=True,
+                    applied_count=lambda: (sut.router._updates
+                                           - sut.router._replays),
                     supports_recovery=True,
                     crash=crash,
                     state_digest=sut.digest,

@@ -2,8 +2,10 @@
 
 The checks themselves live in :mod:`tests.connector_kit` — one
 parametrized suite run against the driver connectors, the interactive
-and fault-injecting wrappers, an in-process SUT used directly, the
-(never-dialled) wire client, and the multi-process sharded store.
+and fault-injecting wrappers, a stub SUT and both real in-process SUTs
+used directly, the wire client (never dialled, and dialled to a
+loopback server over each real SUT), and the multi-process sharded
+store.
 This module only binds the kit's cases to pytest and keeps the handful
 of assertions that are about the protocol *type* rather than any one
 connector.
@@ -19,7 +21,6 @@ from repro.core.sut import StoreSUT
 from .connector_kit import (
     DEFAULT_CASES,
     ConnectorCase,
-    check_abandoned_never_double_applies,
     check_close_idempotent,
     check_crash_recovery,
     check_error_taxonomy,
@@ -67,11 +68,6 @@ def test_error_taxonomy_crosses_connector(all_cases, name):
 
 
 @pytest.mark.parametrize("name", _CASE_NAMES)
-def test_abandoned_attempt_never_double_applies(all_cases, name):
-    check_abandoned_never_double_applies(_case(all_cases, name))
-
-
-@pytest.mark.parametrize("name", _CASE_NAMES)
 def test_replay_is_noop(all_cases, name):
     check_replay_is_noop(_case(all_cases, name))
 
@@ -85,14 +81,6 @@ def test_crash_recovery_check_is_actually_probed(all_cases):
     """The recovery check must not rot into all-skips."""
     probed = [case.name for case in all_cases
               if check_crash_recovery(case)]
-    assert "ShardedStoreConnector" in probed
-
-
-def test_every_guarding_connector_is_actually_probed(all_cases):
-    """The exactly-once check must not rot into all-skips."""
-    probed = [case.name for case in all_cases
-              if check_abandoned_never_double_applies(case)]
-    assert "FaultInjectingConnector" in probed
     assert "ShardedStoreConnector" in probed
 
 

@@ -114,20 +114,6 @@ class TestInjector:
         assert inner.executed == 0
         assert isinstance(InjectedFatalError("x"), FatalSUTError)
 
-    def test_hang_never_delegates_on_first_attempt(self, small_split):
-        ops = small_split.updates[:5]
-        inner = CountingConnector()
-        plan = FaultPlan().with_fault(
-            2, FaultSpec(FaultKind.HANG, delay_seconds=0.01))
-        connector = FaultInjectingConnector(inner, plan,
-                                            operations=ops)
-        with pytest.raises(InjectedTransientError):
-            connector.execute(ops[2])
-        assert inner.executed == 0  # the stalled attempt must not mutate
-        connector.execute(ops[2])
-        assert inner.executed == 1
-        assert connector.injected_counts()["hang"] == 1
-
     def test_unfaulted_ops_pass_through(self, small_split):
         ops = small_split.updates[:10]
         inner = CountingConnector()
@@ -182,35 +168,6 @@ class TestInjector:
             connector.execute(ops[0])
         by_class = connector.injected_by_class()
         assert sum(by_class.values()) == 1
-
-
-class TestAbandonedAttempts:
-    def test_latency_does_not_delegate_when_abandoned(self, small_split):
-        """A delayed attempt the watchdog gave up on must not mutate.
-
-        The watchdog's retry already owns the operation; if the
-        abandoned attempt delegated after its injected sleep, the
-        update would apply twice.
-        """
-        import time
-
-        from repro.driver.resilience import call_with_watchdog
-        from repro.errors import OperationTimeoutError
-
-        ops = small_split.updates[:5]
-        inner = CountingConnector()
-        plan = FaultPlan().with_fault(
-            1, FaultSpec(FaultKind.LATENCY, delay_seconds=0.25))
-        connector = FaultInjectingConnector(inner, plan,
-                                            operations=ops)
-        with pytest.raises(OperationTimeoutError):
-            call_with_watchdog(lambda: connector.execute(ops[1]),
-                               timeout=0.05)
-        time.sleep(0.5)  # let the abandoned helper wake up and check
-        assert inner.executed == 0
-        # An unsupervised (or in-budget) attempt delegates normally.
-        connector.execute(ops[1])
-        assert inner.executed == 1
 
 
 class TestConflictInjector:

@@ -9,15 +9,12 @@ They are the test-suite form of the CLI's ``repro serve`` +
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.benchmark import BenchmarkConfig, InteractiveBenchmark
 from repro.core.operation import Update
 from repro.core.sut import StoreSUT
 from repro.driver import ExecutionMode, RetryPolicy
-from repro.driver.resilience import call_with_watchdog
 from repro.errors import OperationTimeoutError
 from repro.faults import FaultPlan
 from repro.net import RemoteConnector, ReproServer, ServerConfig
@@ -25,7 +22,7 @@ from repro.store import load_network
 from repro.validation import run_chaos
 
 from tests.conftest import SMALL_PERSONS, SMALL_SEED
-from tests.test_net_server import SHORT, ScriptedSUT
+from tests.test_net_server import CommitHook
 
 
 @pytest.fixture()
@@ -100,64 +97,31 @@ def test_windowed_chaos_converges_over_the_wire(small_split,
     assert report.ok, report.failure
 
 
-# -- the abandoned-attempt bugfix, over the remote path --------------------
+# -- exactly-once over the remote path -------------------------------------
 
-def test_wire_timeout_retry_does_not_double_apply(split):
+def test_wire_timeout_retry_does_not_double_apply(small_split):
     """A timed-out update attempt plus its retry applies exactly once.
 
     The first attempt times out at the wire while the server is still
     executing it; the retry (a fresh ``Update`` wrapper around the
-    same stream item, as built per attempt by the scheduler) must be
-    recognized server-side and replay the first outcome.
+    same stream item, as built per attempt by the scheduler) executes
+    after it, and the store answers it as a replay.
     """
-    sut = ScriptedSUT()
-    server = ReproServer(sut, ServerConfig(workers=2))
+    store = load_network(small_split.bulk)
+    hook = store.fault_injector = CommitHook()
+    server = ReproServer(StoreSUT(store), ServerConfig(workers=2))
     host, port = server.start()
     client = RemoteConnector(host, port, timeout=10.0)
     try:
-        operation = split.updates[0]
-        sut.delay = 0.6
+        operation = small_split.updates[0]
+        hook.delay = 0.6
         client.timeout = 0.1
         with pytest.raises(OperationTimeoutError):
             client.execute(Update(operation))
-        sut.delay = 0.0
+        hook.delay = 0.0
         client.timeout = 10.0
-        result = client.execute(Update(operation))
-        # The retry waited for (or replayed) the in-flight execution.
-        assert result.value == 1
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline \
-                and server.stats()["deduped"] < 1:
-            time.sleep(0.02)
-        assert len(sut.executed) == 1
-        assert server.stats()["deduped"] == 1
-    finally:
-        client.close()
-        server.shutdown()
-
-
-def test_watchdog_abandoned_attempt_never_reaches_the_wire():
-    """An attempt the watchdog already timed out must not fire remotely.
-
-    This is the remote extension of the watchdog contract: once
-    ``call_with_watchdog`` abandons a runner, the runner's eventual
-    send would be an un-tracked duplicate, so the wire client checks
-    the abandonment flag before writing to the socket.
-    """
-    sut = ScriptedSUT()
-    server = ReproServer(sut, ServerConfig(workers=2))
-    host, port = server.start()
-    client = RemoteConnector(host, port, timeout=10.0)
-    try:
-        def stalled_then_send():
-            time.sleep(0.3)  # straight past the watchdog deadline
-            return client.execute(SHORT)
-
-        with pytest.raises(OperationTimeoutError):
-            call_with_watchdog(stalled_then_send, timeout=0.05)
-        time.sleep(0.6)  # give the abandoned runner time to misbehave
-        assert sut.executed == []
-        assert server.stats()["requests"] == 0
+        assert client.execute(Update(operation)).value is None
+        assert (store.commit_count, store.replay_count) == (1, 1)
     finally:
         client.close()
         server.shutdown()

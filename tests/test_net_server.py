@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.connector import ConnectorProtocol
 from repro.core.operation import (
-    ComplexRead,
     OperationResult,
     ShortRead,
     Update,
@@ -27,9 +26,9 @@ from repro.errors import (
     FatalSUTError,
     OperationTimeoutError,
     TransientError,
+    WriteConflictError,
 )
 from repro.net import (
-    AdmissionRejectedError,
     RemoteConnector,
     RemoteFatalError,
     RemoteTransientError,
@@ -37,6 +36,7 @@ from repro.net import (
     ServerBusyError,
     ServerConfig,
 )
+from repro.store import load_network
 from repro.workload.operations import EntityRef
 
 
@@ -203,8 +203,7 @@ def test_wire_timeout_maps_to_operation_timeout(server_client):
     client.timeout = 10.0
     assert client.execute(SHORT).op_class == "S1"
     assert len(client._open) == 1
-    # The timed-out attempt still completes server-side eventually
-    # (reads carry no op_key; only updates get dedup protection).
+    # The timed-out attempt still completes server-side eventually.
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline and len(sut.executed) < 2:
         time.sleep(0.02)
@@ -289,121 +288,85 @@ def test_backpressure_rejects_busy_with_retry_hint(server_client):
     assert isinstance(busy[0], TransientError)
 
 
-# -- admission control -----------------------------------------------------
+# -- exactly-once updates: the SUT's, not the server's -------------------
 
-def test_admission_rejects_expensive_complex_reads(loaded_store,
-                                                   curated_params):
-    sut = StoreSUT(loaded_store)
-    server = ReproServer(sut, ServerConfig(max_estimated_rows=1.0))
-    host, port = server.start()
-    client = RemoteConnector(host, port, timeout=10.0)
-    try:
-        params = curated_params.by_query[9][0]
-        with pytest.raises(AdmissionRejectedError) as excinfo:
-            client.execute(ComplexRead(9, params))
-        # Fatal, not transient: retrying cannot make the query cheaper.
-        assert isinstance(excinfo.value, FatalSUTError)
-        assert "estimated" in str(excinfo.value)
-        # Point operations are always admitted.
-        person = EntityRef.person(
-            next(iter(loaded_store.transaction().vertices("person")))[0])
-        assert client.execute(ShortRead(1, person)).op_class == "S1"
-        stats = client.server_stats()
-        assert stats["admission_rejected"] >= 1
-        assert stats["admission_admitted"] >= 1
-    finally:
-        client.close()
-        server.shutdown()
+class CommitHook:
+    """A store ``fault_injector`` that stalls or fails every commit on
+    demand (inside the commit lock, before the replay check)."""
+
+    def __init__(self) -> None:
+        self.delay = 0.0
+        self.raising: BaseException | None = None
+
+    def before_commit(self, txn) -> None:
+        if self.delay:
+            time.sleep(self.delay)
+        if self.raising is not None:
+            raise self.raising
 
 
-def test_admission_estimate_uses_degree_and_damping():
-    from repro.engine.cardinality import DEDUP_DAMPING
-    from repro.net.admission import AdmissionController
+@pytest.fixture()
+def store_server(server_client, split):
+    """A server over a real StoreSUT (bulk part of the split) whose
+    commits a :class:`CommitHook` can stall or fail."""
+    store = load_network(split.bulk)
+    hook = store.fault_injector = CommitHook()
+    server, client, __ = server_client(sut=StoreSUT(store))
+    return server, client, store, hook
 
-    controller = AdmissionController(10.0, max_estimated_rows=None)
-    rows, derivation = controller.estimate_rows(3)
-    assert rows == pytest.approx(10.0 * 10.0 * DEDUP_DAMPING
-                                 * 10.0 * DEDUP_DAMPING)
-    assert "degree=10.0" in derivation
 
-
-# -- exactly-once updates --------------------------------------------------
-
-def test_update_retry_is_deduplicated(server_client, split):
-    server, client, sut = server_client()
+def test_update_retry_is_deduplicated(store_server, split):
+    __, client, store, __ = store_server
     operation = split.updates[0]
-    first = client.execute(Update(operation))
+    client.execute(Update(operation))
+    once = client.digest()
     # A retry of the same stream item (fresh Update wrapper, same
-    # inner operation) must replay, not re-execute.
-    second = client.execute(Update(operation))
-    assert len(sut.executed) == 1
-    assert first.value == second.value == 1
-    assert server.stats()["deduped"] == 1
-    # A different stream item executes normally.
+    # inner operation) executes again, and the store answers it as a
+    # replay: one commit, one replay, the single-apply state.
+    assert client.execute(Update(operation)).value is None
+    assert (store.commit_count, store.replay_count) == (1, 1)
+    assert client.digest() == once
+    # A different stream item applies normally.
     client.execute(Update(split.updates[1]))
-    assert len(sut.executed) == 2
-
-
-def test_distinct_clients_never_share_dedup_keys(server_client, split):
-    server, __, sut = server_client()
-    host, port = server.address
-    a = RemoteConnector(host, port, timeout=10.0)
-    b = RemoteConnector(host, port, timeout=10.0)
-    try:
-        operation = split.updates[0]
-        a.execute(Update(operation))
-        b.execute(Update(operation))
-        # Different client ids → different op keys → both executed.
-        assert len(sut.executed) == 2
-    finally:
-        a.close()
-        b.close()
+    assert (store.commit_count, store.replay_count) == (2, 1)
 
 
 def test_transient_update_failure_is_not_replayed_to_retry(
-        server_client, split):
-    # A transient outcome (the store's write conflict under concurrent
-    # workers) means the update never applied; caching it would replay
-    # the error to every retry and silently lose the update.
-    server, client, sut = server_client()
+        store_server, split):
+    # A transient failure (a write conflict) means the update never
+    # applied: the key is not recorded, and the retry applies it.
+    __, client, store, hook = store_server
     operation = split.updates[0]
-    sut.raising = TransientError("write conflict")
+    hook.raising = WriteConflictError("write conflict")
     with pytest.raises(RemoteTransientError, match="write conflict"):
         client.execute(Update(operation))
-    sut.raising = None
-    result = client.execute(Update(operation))
-    assert result.value == 1
-    assert len(sut.executed) == 1
-    assert server.stats()["deduped"] == 0
+    hook.raising = None
+    assert client.execute(Update(operation)).value is None
+    assert (store.commit_count, store.replay_count) == (1, 0)
 
 
-def test_fatal_update_outcome_is_replayed_to_retry(server_client,
-                                                   split):
-    server, client, sut = server_client()
+def test_fatal_update_outcome_is_replayed_to_retry(store_server, split):
+    __, client, store, hook = store_server
     operation = split.updates[0]
-    sut.raising = FatalSUTError("corrupt page")
-    with pytest.raises(RemoteFatalError, match="corrupt page"):
-        client.execute(Update(operation))
-    sut.raising = None
-    # Fatal outcomes stay remembered: the replay, not a re-execution.
-    with pytest.raises(RemoteFatalError, match="corrupt page"):
-        client.execute(Update(operation))
-    assert len(sut.executed) == 0
-    assert server.stats()["deduped"] == 1
+    hook.raising = FatalSUTError("corrupt page")
+    # Every retry hears the fatal outcome, and nothing is applied.
+    for __ in range(2):
+        with pytest.raises(RemoteFatalError, match="corrupt page"):
+            client.execute(Update(operation))
+    assert (store.commit_count, store.replay_count) == (0, 0)
 
 
 @pytest.mark.parametrize("conflict", [True, False],
                          ids=["transient", "success"])
 def test_concurrent_duplicates_recover_from_transient_failure(
-        server_client, split, conflict):
-    # Two racing attempts at one stream item, on two connections: the
-    # second waits on the first's in-flight token (or, after a
-    # transient failure released it, re-executes).  A success is
-    # replayed to the waiter; a conflict reaches both, and a later
-    # retry must still be able to apply the update.
-    server, client, sut = server_client()
-    sut.delay = 0.2
-    sut.raising = TransientError("conflict") if conflict else None
+        store_server, split, conflict):
+    # Two racing attempts at one stream item, on two connections, meet
+    # at the store's commit lock.  After a success the second is a
+    # replay; a conflict reaches both, and a later retry must still be
+    # able to apply the update.
+    __, client, store, hook = store_server
+    hook.delay = 0.2
+    hook.raising = WriteConflictError("conflict") if conflict else None
     operation = split.updates[0]
     outcomes = []
 
@@ -421,27 +384,28 @@ def test_concurrent_duplicates_recover_from_transient_failure(
     assert not any(thread.is_alive() for thread in threads)
     assert len(client._open) == 2
     if not conflict:
-        assert [o.value for o in outcomes] == [1, 1]
-        assert len(sut.executed) == 1
-        assert server.stats()["deduped"] == 1
+        assert all(isinstance(o, OperationResult) for o in outcomes)
+        assert (store.commit_count, store.replay_count) == (1, 1)
         return
     assert all(isinstance(o, RemoteTransientError) for o in outcomes)
-    sut.delay = 0.0
-    sut.raising = None
-    assert client.execute(Update(operation)).value == 1
-    assert len(sut.executed) == 1
+    hook.delay = 0.0
+    hook.raising = None
+    assert client.execute(Update(operation)).value is None
+    assert (store.commit_count, store.replay_count) == (1, 0)
 
 
-def test_racing_duplicates_execute_each_update_once(server_client,
-                                                    split):
+def test_racing_duplicates_execute_each_update_once(store_server, split):
     # Eight connections send the same twenty updates in different
-    # orders, with thread switches forced often: every token must
-    # execute once, and every copy must hear that one outcome.
+    # orders, with thread switches forced often: the store must apply
+    # each once and answer the other seven copies as replays.
     import random
 
-    server, client, sut = server_client()
-    sut.delay = 0.005  # executions overlap, so duplicates must wait
+    __, client, store, hook = store_server
+    hook.delay = 0.001  # commits overlap the other copies' requests
     updates = split.updates[:20]
+    reference = StoreSUT(load_network(split.bulk))
+    for operation in updates:
+        reference.execute(Update(operation))
     answers: dict[int, set] = {i: set() for i in range(len(updates))}
     errors = []
     start = threading.Barrier(8)
@@ -469,17 +433,17 @@ def test_racing_duplicates_execute_each_update_once(server_client,
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(sut.executed) == len(updates)
-    assert all(len(values) == 1 for values in answers.values())
-    assert server.stats()["deduped"] == 7 * len(updates)
+    assert all(values == {None} for values in answers.values())
+    assert store.commit_count == len(updates)
+    assert store.replay_count == 7 * len(updates)
+    assert client.digest() == reference.digest()
 
 
 def test_reads_are_not_deduplicated(server_client):
-    server, client, sut = server_client()
+    __, client, sut = server_client()
     client.execute(SHORT)
     client.execute(SHORT)
     assert len(sut.executed) == 2
-    assert server.stats()["deduped"] == 0
 
 
 # -- op keys ---------------------------------------------------------------
@@ -491,6 +455,13 @@ def test_op_keys_are_stable_and_never_alias(split):
     assert dataclasses.replace(first).op_key == first.op_key
     # Distinct updates never share a key.
     keys = {op.op_key for op in split.updates}
+    assert len(keys) == len(split.updates)
+
+
+def test_natural_keys_are_stable_and_never_alias(split):
+    first = split.updates[0]
+    assert dataclasses.replace(first).natural_key == first.natural_key
+    keys = {op.natural_key for op in split.updates}
     assert len(keys) == len(split.updates)
 
 

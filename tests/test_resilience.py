@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.driver.resilience import (
-    AbandonedAttemptError,
     CircuitBreaker,
     CircuitOpenError,
     DegradePolicy,
     RetryPolicy,
-    attempt_abandoned,
-    call_with_watchdog,
     default_is_transient,
-    raise_if_abandoned,
 )
 from repro.errors import (
     DriverError,
@@ -96,57 +89,6 @@ class TestBackoff:
         assert draw() == draw()
 
 
-class TestWatchdog:
-    def test_result_passes_through(self):
-        assert call_with_watchdog(lambda: 42, timeout=1.0) == 42
-
-    def test_exception_reraised_on_caller_thread(self):
-        def boom():
-            raise WriteConflictError("inner")
-
-        with pytest.raises(WriteConflictError):
-            call_with_watchdog(boom, timeout=1.0)
-
-    def test_expiry_raises_timeout(self):
-        start = time.monotonic()
-        with pytest.raises(OperationTimeoutError):
-            call_with_watchdog(lambda: time.sleep(5.0), timeout=0.05)
-        assert time.monotonic() - start < 1.0  # abandoned, not joined
-
-
-class TestAbandonment:
-    """The cancel flag connectors consult before side-effecting steps."""
-
-    def test_false_outside_a_supervised_attempt(self):
-        assert not attempt_abandoned()
-        raise_if_abandoned()  # and therefore a no-op
-
-    def test_false_during_a_live_attempt(self):
-        assert call_with_watchdog(attempt_abandoned, timeout=1.0) is False
-
-    def test_observable_from_inside_after_expiry(self):
-        observed: list[bool] = []
-        release = threading.Event()
-
-        def stalled():
-            release.wait(2.0)
-            observed.append(attempt_abandoned())
-            raise_if_abandoned()  # must raise now, discarded below
-
-        with pytest.raises(OperationTimeoutError):
-            call_with_watchdog(stalled, timeout=0.05)
-        release.set()  # wake the abandoned helper
-        deadline = time.monotonic() + 2.0
-        while not observed and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert observed == [True]
-
-    def test_abandoned_error_is_transient(self):
-        # Were it ever to escape to a retry loop, it must be retryable.
-        assert default_is_transient(AbandonedAttemptError("x"))
-        assert issubclass(AbandonedAttemptError, TransientError)
-
-
 class TestCircuitBreaker:
     def test_trips_once_past_budget(self):
         breaker = CircuitBreaker(partition=0, budget=3)
@@ -170,4 +112,3 @@ class TestPolicyDefaults:
         policy = RetryPolicy()
         assert policy.max_retries == 0
         assert policy.on_exhaustion is DegradePolicy.FAIL_FAST
-        assert policy.attempt_timeout is None
