@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datagen.update_stream import UpdateKind
-from repro.errors import WorkloadError
+from repro.errors import DuplicateError, WorkloadError
 from repro.queries.updates import execute_update, executor_for
 from repro.store.graph import Direction
 from repro.store.loader import EdgeLabel, VertexLabel
@@ -127,3 +127,27 @@ class TestOtherKinds:
                                       membership.forum_id))
             assert rows[membership.person_id]["joined_date"] \
                 == membership.joined_date
+
+
+class TestReplays:
+    def test_replay_commits_nothing(self, fresh_store, split):
+        op = _first_of(split, UpdateKind.ADD_LIKE_POST)
+        execute_update(fresh_store, op)
+        execute_update(fresh_store, op)
+        assert (fresh_store.commit_count, fresh_store.replay_count) == (1, 1)
+        with fresh_store.transaction() as txn:
+            likers = txn.neighbors(EdgeLabel.LIKES, op.payload.message_id,
+                                   Direction.IN)
+            assert [other for other, __ in likers].count(
+                op.payload.person_id) == 1
+
+    def test_failed_commit_records_no_key(self, fresh_store, split):
+        # The vertex exists under no key, so the keyed insert fails
+        # validation; a recorded key would turn the retry into a replay.
+        op = _first_of(split, UpdateKind.ADD_PERSON)
+        with fresh_store.transaction() as txn:
+            txn.insert_vertex(VertexLabel.PERSON, op.payload.id, {})
+        for __ in range(2):
+            with pytest.raises(DuplicateError):
+                execute_update(fresh_store, op)
+        assert fresh_store.replay_count == 0

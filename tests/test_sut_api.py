@@ -20,7 +20,8 @@ from repro.core.connector import InteractiveConnector
 from repro.core.sut import load_sut
 from repro.datagen.update_stream import UpdateOperation
 from repro.driver import DriverConfig, ExecutionMode, WorkloadDriver
-from repro.errors import BenchmarkError
+from repro.engine import snb_queries as engine_queries
+from repro.errors import BenchmarkError, WriteConflictError
 from repro.workload.operations import EntityRef, ReadOperation
 
 from .connector_kit import remote_case, replay_is_noop, sharded_case, sut_case
@@ -149,6 +150,26 @@ def test_replay_is_noop_for_every_update_kind(small_split, shape):
     finally:
         live.done()
     assert failures == []
+
+
+def test_engine_failed_update_records_no_key(small_split, monkeypatch):
+    """A transient failure leaves the key unrecorded: the retry applies."""
+    sut = EngineSUT.for_network(small_split.bulk)
+    operation = small_split.updates[0]
+    apply = engine_queries.execute_engine_update
+    failures = [WriteConflictError("injected")]
+
+    def flaky(catalog, op):
+        if failures:
+            raise failures.pop()
+        apply(catalog, op)
+
+    monkeypatch.setattr(engine_queries, "execute_engine_update", flaky)
+    with pytest.raises(WriteConflictError):
+        sut.execute(Update(operation))
+    sut.execute(Update(operation))
+    sut.execute(Update(operation))
+    assert (sut.applied_count, sut.replay_count) == (1, 1)
 
 
 # -- the engine serializes itself ------------------------------------------
