@@ -69,19 +69,6 @@ class CuratedWorkloadParams:
         return {query_id: [asdict(binding) for binding in bindings]
                 for query_id, bindings in self.by_query.items()}
 
-    @classmethod
-    def from_dicts(cls, data: dict) -> "CuratedWorkloadParams":
-        """Rebuild typed bindings from :meth:`as_dicts` output (JSON
-        round-trips turn the query-id keys into strings; both accepted)."""
-        from ..queries.registry import COMPLEX_QUERIES
-
-        by_query: dict[int, list] = {}
-        for key, dicts in data.items():
-            query_id = int(key)
-            params_type = COMPLEX_QUERIES[query_id].params_type
-            by_query[query_id] = [params_type(**d) for d in dicts]
-        return cls(by_query=by_query)
-
 
 class ParameterCurator:
     """Produces curated (and uniform-baseline) parameters for a network."""

@@ -61,9 +61,6 @@ class Universe:
     #: organisation id → organisation.
     organisation_by_id: dict[int, Organisation] = field(default_factory=dict)
 
-    def country_universe(self, index: int) -> CountryUniverse:
-        return self.countries[index]
-
 
 def build_universe(dictionaries: Dictionaries) -> Universe:
     """Materialize all dimension entities with stable ids.

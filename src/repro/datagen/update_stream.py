@@ -25,7 +25,6 @@ eight columns of the paper's Table 9).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -90,23 +89,15 @@ class UpdateOperation:
     global_depends_on_time: int = 0
 
     @property
-    def op_key(self) -> str:
-        """The sharded store's operation key: a sha1 of kind, due time
-        and payload repr, never of object identity.  Shard WALs,
-        spent-marker files and shard fault draws key on it.  It costs
-        a few microseconds; the in-process SUTs use
-        :attr:`natural_key` instead."""
-        body = f"{self.kind.value}:{self.due_time}:{self.payload!r}"
-        return hashlib.sha1(body.encode()).hexdigest()
-
-    @property
     def natural_key(self) -> tuple:
         """What this update inserts, as a hashable key: ``"vertex"``
         plus the new vertex's id (ids are unique across entity kinds,
         :mod:`repro.ids`), or the edge label plus its endpoint ids.
         Every SNB update inserts exactly one vertex or one edge, so the
         key is unique in a stream, and a SUT that has applied it treats
-        the same key again as a replay."""
+        the same key again as a replay.  It is the only update key: the
+        shard WALs, the coordinator log, the spent markers and the shard
+        fault draws use it too."""
         payload = self.payload
         kind = type(payload)
         if kind is Like:  # half of a stream's updates

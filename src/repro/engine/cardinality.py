@@ -36,9 +36,6 @@ class CardinalityEstimator:
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
 
-    def table_rows(self, table_name: str) -> int:
-        return self.catalog.table(table_name).row_count
-
     def fanout(self, table_name: str, column: str | None) -> float:
         """Expected matches per probe key.
 

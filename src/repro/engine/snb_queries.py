@@ -24,6 +24,7 @@ two systems under test agree answer-for-answer.
 
 from __future__ import annotations
 
+from ..datagen.update_stream import UpdateKind
 from ..ids import EntityKind, is_kind
 from ..queries.complex_reads import (
     q1 as g1,
@@ -912,8 +913,6 @@ ENGINE_SHORT = {1: s1, 2: s2, 3: s3, 4: s4, 5: s5, 6: s6, 7: s7}
 
 def execute_engine_update(catalog: Catalog, operation) -> None:
     """Apply one update-stream operation to the relational catalog."""
-    from ..datagen.update_stream import UpdateKind
-
     kind = operation.kind
     payload = operation.payload
     if kind is UpdateKind.ADD_PERSON:

@@ -77,8 +77,8 @@ class ShardTimeoutError(ShardError, TransientError):
     """A shard worker did not answer within the router's budget.
 
     Transient: the worker is serial, so its (late) response is drained
-    and the retried operation is deduplicated by op key — the retry can
-    never double-apply.
+    and the retried operation is a replay of its update key — the retry
+    can never double-apply.
     """
 
 
@@ -89,26 +89,26 @@ class ShardConnectionError(ShardError, FatalSUTError):
     shard means lost state, and with supervision it is raised only
     once the restart budget is exhausted — either way retrying cannot
     recover it.  The payload identifies the failure precisely: which
-    shard died, the stable op key of the request that was in flight
+    shard died, the update key of the request that was in flight
     (``None`` for reads and control-plane RPCs), and how many requests
     were queued against the shard at the time.
     """
 
     def __init__(self, message: str, *, shard_index: int | None = None,
-                 op_key: str | None = None,
+                 key: tuple | None = None,
                  pending: int | None = None) -> None:
         detail = []
         if shard_index is not None:
             detail.append(f"shard={shard_index}")
-        if op_key is not None:
-            detail.append(f"op_key={op_key}")
+        if key is not None:
+            detail.append(f"key={key}")
         if pending is not None:
             detail.append(f"pending={pending}")
         if detail:
             message = f"{message} [{' '.join(detail)}]"
         super().__init__(message)
         self.shard_index = shard_index
-        self.op_key = op_key
+        self.key = key
         self.pending = pending
 
 
@@ -117,7 +117,7 @@ class ShardRecoveringError(ShardError, TransientError):
 
     Transient: the supervisor is respawning the worker and replaying
     its WAL; the retried operation lands once recovery completes and
-    the per-shard applied-table keeps the retry exactly-once.
+    the shard store's applied keys keep the retry exactly-once.
     """
 
     def __init__(self, message: str,
@@ -140,10 +140,6 @@ class CurationError(ReproError):
 
 class DriverError(ReproError):
     """The workload driver was misconfigured or violated a dependency."""
-
-
-class DependencyViolationError(DriverError):
-    """An operation executed before one of its dependencies completed."""
 
 
 class OperationTimeoutError(DriverError, TransientError):

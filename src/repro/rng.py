@@ -15,7 +15,7 @@ compact, and fully reproducible across platforms (pure integer arithmetic).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
 
@@ -211,14 +211,3 @@ class ZipfSampler:
         """Draw one Zipf-distributed index in ``[0, n)``."""
         table = self.table
         return table[stream.next_u64() % len(table)]
-
-
-def interleave_streams(streams: Iterable[RandomStream], n: int) -> list[int]:
-    """Draw ``n`` values round-robin from the given streams (test helper)."""
-    outputs: list[int] = []
-    pool = list(streams)
-    i = 0
-    while len(outputs) < n:
-        outputs.append(pool[i % len(pool)].next_u64())
-        i += 1
-    return outputs

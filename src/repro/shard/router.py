@@ -19,7 +19,7 @@ channel, and exposes three things:
   directly when one shard is involved, two-phase (prepare everywhere,
   then commit everywhere) when the write-set straddles shards, e.g. a
   friendship between persons on different shards.  Every write carries
-  a stable op key so worker applies are exactly-once across retries.
+  the update's natural key: worker applies are exactly-once.
 * the **merged canonical snapshot**: per-shard snapshots concatenated
   section-wise and re-sorted by canonical JSON — byte-identical to the
   single-process snapshot by the placement invariant, which is what
@@ -30,7 +30,7 @@ Failure taxonomy at the pipe boundary mirrors the wire protocol: a
 worker exception travels back by name and re-raises as its original
 :mod:`repro.errors` class; a response missing its deadline raises
 :class:`~repro.errors.ShardTimeoutError` (transient — the serial worker
-plus the op-key table make the retry safe); a dead worker raises
+plus the store's applied keys make the retry safe); a dead worker raises
 :class:`~repro.errors.ShardConnectionError` (fatal).
 """
 
@@ -141,7 +141,7 @@ class ShardHandle:
         self.pending = 0
 
     def call(self, method: str, args: tuple, timeout: float,
-             op_key: str | None = None):
+             key: tuple | None = None):
         self.pending += 1
         try:
             status, payload = self.channel.call((method, args), timeout)
@@ -154,7 +154,7 @@ class ShardHandle:
             raise ShardConnectionError(
                 f"shard worker died during {method} "
                 f"(pid {self.process.pid})",
-                shard_index=self.index, op_key=op_key,
+                shard_index=self.index, key=key,
                 pending=self.pending) from exc
         finally:
             self.pending -= 1
@@ -286,7 +286,7 @@ class ShardRouter:
     # -- plumbing ----------------------------------------------------------
 
     def _call_handle(self, handle: ShardHandle, method: str, args: tuple,
-                     timeout: float, op_key: str | None = None):
+                     timeout: float, key: tuple | None = None):
         """One supervised RPC: a dead worker triggers recovery + retry.
 
         Every data-plane RPC funnels through here.  Without a
@@ -295,19 +295,19 @@ class ShardRouter:
         """
         generation = handle.generation
         try:
-            return handle.call(method, args, timeout, op_key=op_key)
+            return handle.call(method, args, timeout, key=key)
         except ShardConnectionError as exc:
             if self.supervisor is None or self._closed:
                 raise
             return self.supervisor.recover_and_reissue(
-                handle, method, args, timeout, op_key=op_key,
+                handle, method, args, timeout, key=key,
                 cause=exc, observed_gen=generation)
 
     def call(self, shard: int, method: str, *args,
-             op_key: str | None = None):
+             key: tuple | None = None):
         """One RPC to one shard."""
         return self._call_handle(self.handles[shard], method, args,
-                                 self.request_timeout, op_key=op_key)
+                                 self.request_timeout, key=key)
 
     def _pool(self):
         with self._pool_lock:
@@ -388,22 +388,22 @@ class ShardRouter:
                           if writes)
         if not involved:
             return
-        op_key = operation.op_key
+        key = operation.natural_key
         with self._commit_lock:
             self._epoch += 1
             self._updates += 1
             if len(involved) == 1:
                 shard = involved[0]
                 writes = per_shard[shard]
-                replay = self.call(shard, "apply", op_key, writes.vertices,
-                                   writes.halves, op_key=op_key) == "replayed"
+                replay = self.call(shard, "apply", key, writes.vertices,
+                                   writes.halves, key=key) == "replayed"
             else:
                 self._multi_shard_updates += 1
-                replay = self._two_phase(op_key, involved, per_shard)
+                replay = self._two_phase(key, involved, per_shard)
             if replay:
                 self._replays += 1
 
-    def _two_phase(self, op_key: str, involved: list[int],
+    def _two_phase(self, key: tuple, involved: list[int],
                    per_shard: dict[int, ShardWrites]) -> bool:
         """Prepare everywhere, log the decision, then send it.
 
@@ -415,32 +415,33 @@ class ShardRouter:
         prepared stage rolls forward iff that record exists.  Commits
         cannot fail semantically (validation happened at prepare and
         the epoch lock excludes other writers); a commit *timeout*
-        still applies worker-side, and the retry's prepares then land
-        in the applied-table and replay as successes.  Returns True
-        when every shard had already applied the update (a replay).
+        still applies worker-side, and the retry's prepares then answer
+        "already-applied".  Only staged shards get a commit; if none
+        staged, the update is a replay: log **abort**, return True.
         """
-        self.txlog.log_begin(op_key, involved)
+        self.txlog.log_begin(key, involved)
         prepared: list[int] = []
-        replay = True
         try:
             for shard in involved:
                 writes = per_shard[shard]
-                replay &= self.call(
-                    shard, "prepare", op_key, writes.vertices,
-                    writes.halves, op_key=op_key) == "already-applied"
-                prepared.append(shard)
+                if self.call(shard, "prepare", key, writes.vertices,
+                             writes.halves, key=key) == "prepared":
+                    prepared.append(shard)
         except BaseException:
-            self.txlog.log_abort(op_key)
+            self.txlog.log_abort(key)
             for shard in prepared:
                 try:
-                    self.call(shard, "abort", op_key, op_key=op_key)
+                    self.call(shard, "abort", key, key=key)
                 except ShardError:
                     pass
             raise
-        self.txlog.log_commit(op_key)
-        for shard in involved:
-            self.call(shard, "commit", op_key, op_key=op_key)
-        return replay
+        if not prepared:
+            self.txlog.log_abort(key)
+            return True
+        self.txlog.log_commit(key)
+        for shard in prepared:
+            self.call(shard, "commit", key, key=key)
+        return False
 
     # -- snapshot ----------------------------------------------------------
 

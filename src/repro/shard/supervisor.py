@@ -9,9 +9,9 @@ instead, which turns a ``kill -9`` into a bounded, observable episode:
    arrives with the cause;
 2. **respawn** — a new worker process for the same shard slice; its
    ``__init__`` bulk-loads and replays the shard WAL before serving, so
-   the acked state, the exactly-once applied-table, and the in-doubt
+   the acked state, the store's applied keys, and the in-doubt
    2PC stages are all back;
-3. **resolve** — the staged op keys the worker reports are matched
+3. **resolve** — the staged update keys the worker reports are matched
    against the coordinator log; decided ops roll forward/back, the
    undecided ones stay staged for their still-live router thread;
 4. **re-issue** — the request that hit the dead pipe is retried on the
@@ -80,7 +80,7 @@ class WorkerSupervisor:
     # -- the supervised failure path --------------------------------------
 
     def recover_and_reissue(self, handle, method: str, args: tuple,
-                            timeout: float, *, op_key: str | None,
+                            timeout: float, *, key: tuple | None,
                             cause: ShardConnectionError,
                             observed_gen: int):
         """Bring the shard back, then retry the failed request on it.
@@ -115,7 +115,7 @@ class WorkerSupervisor:
         finally:
             lock.release()
         return self.router._call_handle(handle, method, args, timeout,
-                                        op_key=op_key)
+                                        key=key)
 
     # -- respawn + replay + resolve ----------------------------------------
 
@@ -126,7 +126,7 @@ class WorkerSupervisor:
                     f"shard {handle.index} worker died and the "
                     f"supervisor restart budget "
                     f"({self.max_restarts}) is exhausted",
-                    shard_index=handle.index, op_key=cause.op_key,
+                    shard_index=handle.index, key=cause.key,
                     pending=handle.pending)
                 exhausted.budget_exhausted = True
                 raise exhausted from cause

@@ -21,6 +21,9 @@ no decision (cold)   ``prepare`` staged     presumed **abort**: the
                                             committed anywhere
 ==================  =====================  ==========================
 
+A replay whose every prepare answers "already-applied" staged nothing,
+so it closes its ``begin`` with ``abort`` and sends no further RPC.
+
 Because the decision record hits the log before the corresponding RPCs,
 a decided op is decided forever — a worker that crashed after acking
 prepare learns the outcome from here, never by guessing.
@@ -49,11 +52,11 @@ class CoordinatorLog:
 
     def __init__(self, path: str | os.PathLike | None = None,
                  sync_every_append: bool = False) -> None:
-        #: op key → "commit" | "abort"; last decision wins on replay
-        #: (a retried op that aborted once and committed later must
-        #: resolve commit).
-        self._decisions: dict[str, str] = {}
-        self._begun: dict[str, list[int]] = {}
+        #: update key → "commit" | "abort"; last decision wins on
+        #: replay (a retried op that aborted once and committed later
+        #: must resolve commit).
+        self._decisions: dict[tuple, str] = {}
+        self._begun: dict[tuple, list[int]] = {}
         self._lock = threading.Lock()
         self._log: AppendLog | None = None
         if path is not None:
@@ -65,11 +68,11 @@ class CoordinatorLog:
                                   sync_every_append=sync_every_append)
 
     def _replay(self, record: dict) -> None:
-        act, op_key = record["act"], record["op"]
+        act, key = record["act"], tuple(record["op"])
         if act == "begin":
-            self._begun[op_key] = list(record.get("shards", []))
+            self._begun[key] = list(record.get("shards", []))
         elif act in ("commit", "abort"):
-            self._decisions[op_key] = act
+            self._decisions[key] = act
         else:
             raise ShardError(f"unknown coordinator-log act {act!r}")
 
@@ -87,35 +90,35 @@ class CoordinatorLog:
 
     # -- the 2PC protocol hooks (called by the router) ---------------------
 
-    def log_begin(self, op_key: str, shards: list[int]) -> None:
+    def log_begin(self, key: tuple, shards: list[int]) -> None:
         with self._lock:
-            self._begun[op_key] = list(shards)
+            self._begun[key] = list(shards)
             # A re-run of an op that aborted before is a fresh attempt:
             # clear the stale abort so the new outcome decides it.
-            if self._decisions.get(op_key) == "abort":
-                del self._decisions[op_key]
-            self._append({"act": "begin", "op": op_key,
+            if self._decisions.get(key) == "abort":
+                del self._decisions[key]
+            self._append({"act": "begin", "op": key,
                           "shards": list(shards)})
 
-    def log_commit(self, op_key: str) -> None:
+    def log_commit(self, key: tuple) -> None:
         """THE commit point — must be called before any commit RPC."""
         with self._lock:
-            self._decisions[op_key] = "commit"
-            self._append({"act": "commit", "op": op_key})
+            self._decisions[key] = "commit"
+            self._append({"act": "commit", "op": key})
 
-    def log_abort(self, op_key: str) -> None:
+    def log_abort(self, key: tuple) -> None:
         with self._lock:
-            self._decisions[op_key] = "abort"
-            self._append({"act": "abort", "op": op_key})
+            self._decisions[key] = "abort"
+            self._append({"act": "abort", "op": key})
 
     # -- recovery queries --------------------------------------------------
 
-    def decision(self, op_key: str) -> str | None:
+    def decision(self, key: tuple) -> str | None:
         """``"commit"``, ``"abort"``, or ``None`` while undecided."""
         with self._lock:
-            return self._decisions.get(op_key)
+            return self._decisions.get(key)
 
-    def in_doubt(self) -> list[str]:
+    def in_doubt(self) -> list[tuple]:
         """Ops begun but never decided (interesting on cold restart)."""
         with self._lock:
             return [op for op in self._begun

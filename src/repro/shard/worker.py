@@ -13,35 +13,36 @@ adjacency halves routed to it, and answers requests from its pipe one
 at a time.  Serial execution is what makes the router's retry story
 airtight — responses come back in request order, so a timed-out
 request's late response is always drained before the retry's, and the
-``op_key`` applied-table makes every retried write idempotent
-(exactly-once application, same contract as the wire server's dedup).
+store's applied keys (each write carries the update's ``natural_key``)
+make every retried write a replay — the in-process SUTs' rule.
 
 Durability (:class:`ShardDurability`): every write event is appended to
 the shard's own WAL (:class:`repro.store.wal.ShardWAL`) *before* it is
 acknowledged on the pipe, so a ``kill -9`` after the ack can never lose
 the write.  A respawned worker rebuilds itself in ``__init__`` —
 bulk-load the shard slice, replay the WAL (which also reconstructs the
-exactly-once applied-table and the in-doubt 2PC stages) — before it
+store's applied keys and the in-doubt 2PC stages) — before it
 serves a single request, so the supervisor's recovery RPCs always see a
 fully recovered shard.
 
 Chaos hooks: a :class:`ShardFaultPlan` injects deterministic, seeded
 *worker aborts* (a transient raise before any state change), *response
 delays* (the worker applies, then stalls past the router's budget — the
-retry must be absorbed by the applied-table, never double-applied), and
+retry must be absorbed by the applied keys, never double-applied), and
 three *crash* faults — ``kill_rate`` (die before the ack: half the
 draws before anything durable happened, half after the WAL append and
 state apply), ``kill_after_prepare`` (ack the 2PC prepare, then die —
 the in-doubt window), and ``torn_wal_rate`` (die mid-WAL-append,
 leaving a torn trailing record).  Crash faults persist a spent marker
 to a sidecar file *before* dying so the respawned worker never re-fires
-them; each fault fires at most once per op key, so a perturbed run
-converges to the fault-free digest.
+them; each fault fires at most once per update key, so a perturbed
+run converges to the fault-free digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import time
 from collections import deque
@@ -95,8 +96,8 @@ class ShardDurability:
 class ShardFaultPlan:
     """Deterministic worker-side fault schedule (picklable).
 
-    Rates are per *write* op key; draws are seeded hashes of
-    ``(seed, salt, op_key)`` so runs are reproducible and different
+    Rates are per update key; draws are seeded hashes of
+    ``(seed, salt, repr(key))`` so runs are reproducible and different
     faults can be made to hit the same operation.  ``delay_seconds``
     must exceed the router's request timeout for the delay to surface
     as a :class:`~repro.errors.ShardTimeoutError` retry.  The crash
@@ -114,36 +115,36 @@ class ShardFaultPlan:
     torn_wal_rate: float = 0.0
     seed: int = 0
 
-    def _draw(self, salt: str, op_key: str) -> float:
+    def _draw(self, salt: str, key: tuple) -> float:
         digest = hashlib.sha256(
-            f"{self.seed}:{salt}:{op_key}".encode()).digest()
+            f"{self.seed}:{salt}:{key!r}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
-    def should_abort(self, op_key: str) -> bool:
+    def should_abort(self, key: tuple) -> bool:
         return self.abort_rate > 0.0 and \
-            self._draw("abort", op_key) < self.abort_rate
+            self._draw("abort", key) < self.abort_rate
 
-    def should_delay(self, op_key: str) -> bool:
+    def should_delay(self, key: tuple) -> bool:
         return self.delay_rate > 0.0 and \
-            self._draw("delay", op_key) < self.delay_rate
+            self._draw("delay", key) < self.delay_rate
 
-    def should_kill(self, op_key: str) -> bool:
+    def should_kill(self, key: tuple) -> bool:
         return self.kill_rate > 0.0 and \
-            self._draw("kill", op_key) < self.kill_rate
+            self._draw("kill", key) < self.kill_rate
 
-    def kill_phase(self, op_key: str) -> str:
+    def kill_phase(self, key: tuple) -> str:
         """Where a ``kill_rate`` death lands: ``pre`` (before the WAL
         append — nothing durable; retry re-applies) or ``post`` (after
         WAL + state apply, before the ack — retry must replay)."""
-        return "pre" if self._draw("killphase", op_key) < 0.5 else "post"
+        return "pre" if self._draw("killphase", key) < 0.5 else "post"
 
-    def should_kill_after_prepare(self, op_key: str) -> bool:
+    def should_kill_after_prepare(self, key: tuple) -> bool:
         return self.kill_after_prepare > 0.0 and \
-            self._draw("killprep", op_key) < self.kill_after_prepare
+            self._draw("killprep", key) < self.kill_after_prepare
 
-    def should_tear(self, op_key: str) -> bool:
+    def should_tear(self, key: tuple) -> bool:
         return self.torn_wal_rate > 0.0 and \
-            self._draw("torn", op_key) < self.torn_wal_rate
+            self._draw("torn", key) < self.torn_wal_rate
 
     @property
     def has_crash_faults(self) -> bool:
@@ -166,17 +167,13 @@ class _WorkerState:
         self.shard_index = load.shard_index
         self.store: GraphStore = load_shard(load)
         self.faults = faults
-        #: op key → True once its write-set is fully applied.  Replays
-        #: (driver retries after an injected abort or a router timeout)
-        #: return success without touching the store again.
-        self.applied: dict[str, bool] = {}
-        #: op key → (vertices, halves) staged by a 2PC prepare.
-        self.staged: dict[str, tuple[list, list]] = {}
+        #: update key → (vertices, halves) staged by a 2PC prepare.
+        self.staged: dict[tuple, tuple[list, list]] = {}
         self.spans: deque = deque(maxlen=_SPAN_BUFFER)
         self.requests = 0
         self.replayed = 0
         self.fault_counts = {"abort": 0, "delay": 0}
-        self._fault_spent: set[tuple[str, str]] = set()
+        self._fault_spent: set[tuple[str, tuple]] = set()
         #: Set by a fault that must ack first and die after; honored by
         #: the serving loop immediately after ``conn.send``.
         self.exit_after_send = False
@@ -197,7 +194,7 @@ class _WorkerState:
 
         Runs before the serving loop touches the pipe, so by the time
         the supervisor's post-respawn ``ping`` is answered the shard's
-        state, applied-table and in-doubt stages are all back.  Replay
+        state, applied keys and in-doubt stages are all back.  Replay
         bypasses the fault hooks — recovery must not re-fire the crash
         that caused it (the spent file guarantees that anyway, but
         recovery is also exercised with live fault plans).
@@ -210,39 +207,40 @@ class _WorkerState:
             records = read_shard_log(wal_path)
             self.torn_wal_records = \
                 telemetry.counter(TORN_RECORD_COUNTER).value - torn_before
-            self.applied, self.staged = replay_shard_log(self.store,
-                                                         records)
-            self.recovered_ops = len(self.applied)
+            self.staged = replay_shard_log(self.store, records)
+            self.recovered_ops = self.store.applied_count
             self.recovered_staged = len(self.staged)
         self.wal = ShardWAL(wal_path, sync_every_append=durability.sync)
         self._load_spent(durability.spent_path(self.shard_index))
 
     def _load_spent(self, spent_path: str) -> None:
-        """Crash-fault markers persisted by previous incarnations."""
+        """Crash-fault markers persisted by previous incarnations: one
+        JSON line ``[kind, key]`` each."""
         if os.path.exists(spent_path):
             with open(spent_path, encoding="utf-8") as handle:
                 for line in handle:
-                    parts = line.split()
-                    if len(parts) != 2 or parts[0] not in _CRASH_KINDS:
+                    try:
+                        kind, key = json.loads(line)
+                    except ValueError:
                         continue
-                    kind, op_key = parts
-                    if (kind, op_key) not in self._fault_spent:
-                        self._fault_spent.add((kind, op_key))
+                    marker = (kind, tuple(key))
+                    if marker not in self._fault_spent:
+                        self._fault_spent.add(marker)
                         self.crash_fault_counts[kind] += 1
         self._spent_handle = open(spent_path, "a", encoding="utf-8")
 
-    def _spend_crash(self, kind: str, op_key: str) -> bool:
+    def _spend_crash(self, kind: str, key: tuple) -> bool:
         """Durably mark a crash fault fired; False if already spent.
 
         The marker must hit the file *before* the process dies, or the
         respawned worker would re-fire the kill on the retried op
         forever.
         """
-        if self.wal is None or (kind, op_key) in self._fault_spent:
+        if self.wal is None or (kind, key) in self._fault_spent:
             return False
-        self._fault_spent.add((kind, op_key))
+        self._fault_spent.add((kind, key))
         self.crash_fault_counts[kind] += 1
-        self._spent_handle.write(f"{kind} {op_key}\n")
+        self._spent_handle.write(json.dumps([kind, key]) + "\n")
         self._spent_handle.flush()
         os.fsync(self._spent_handle.fileno())
         return True
@@ -254,95 +252,93 @@ class _WorkerState:
 
     # -- chaos ------------------------------------------------------------
 
-    def _maybe_fault(self, op_key: str) -> None:
-        """Fire each seeded fault at most once per op key."""
-        if self.faults.should_delay(op_key) and \
-                ("delay", op_key) not in self._fault_spent:
-            self._fault_spent.add(("delay", op_key))
+    def _maybe_fault(self, key: tuple) -> None:
+        """Fire each seeded fault at most once per update key."""
+        if self.faults.should_delay(key) and \
+                ("delay", key) not in self._fault_spent:
+            self._fault_spent.add(("delay", key))
             self.fault_counts["delay"] += 1
             time.sleep(self.faults.delay_seconds)
-        if self.faults.should_abort(op_key) and \
-                ("abort", op_key) not in self._fault_spent:
-            self._fault_spent.add(("abort", op_key))
+        if self.faults.should_abort(key) and \
+                ("abort", key) not in self._fault_spent:
+            self._fault_spent.add(("abort", key))
             self.fault_counts["abort"] += 1
             raise InjectedWorkerAbortError(
                 f"injected worker abort on shard {self.shard_index} "
-                f"for {op_key[:12]}")
+                f"for {key}")
 
-    def _maybe_kill(self, op_key: str, phase: str) -> None:
-        if self.faults.should_kill(op_key) and \
-                self.faults.kill_phase(op_key) == phase and \
-                self._spend_crash("kill", op_key):
+    def _maybe_kill(self, key: tuple, phase: str) -> None:
+        if self.faults.should_kill(key) and \
+                self.faults.kill_phase(key) == phase and \
+                self._spend_crash("kill", key):
             self._die()
 
-    def _maybe_tear(self, op_key: str, act: str, vertices: list,
+    def _maybe_tear(self, key: tuple, act: str, vertices: list,
                     halves: list) -> None:
-        if self.faults.should_tear(op_key) and \
-                self._spend_crash("torn", op_key):
-            self.wal.tear(act, op_key, vertices, halves)
+        if self.faults.should_tear(key) and \
+                self._spend_crash("torn", key):
+            self.wal.tear(act, key, vertices, halves)
             self._die()
 
     # -- write path -------------------------------------------------------
 
-    def apply(self, op_key: str, vertices: list, halves: list) -> str:
+    def apply(self, key: tuple, vertices: list, halves: list) -> str:
         """Single-shard commit: WAL, then apply atomically, then ack."""
-        if op_key in self.applied:
+        if not self.store.validate_shard_writes(key, vertices):
             self.replayed += 1
             return "replayed"
-        self._maybe_fault(op_key)
-        self._maybe_kill(op_key, "pre")
-        self._maybe_tear(op_key, "apply", vertices, halves)
+        self._maybe_fault(key)
+        self._maybe_kill(key, "pre")
+        self._maybe_tear(key, "apply", vertices, halves)
         if self.wal is not None:
-            self.wal.log_apply(op_key, vertices, halves)
-        self.store.apply_shard_writes(vertices, halves)
-        self.applied[op_key] = True
-        self._maybe_kill(op_key, "post")
+            self.wal.log_apply(key, vertices, halves)
+        self.store.apply_shard_writes(key, vertices, halves)
+        self._maybe_kill(key, "post")
         return "applied"
 
-    def prepare(self, op_key: str, vertices: list, halves: list) -> str:
+    def prepare(self, key: tuple, vertices: list, halves: list) -> str:
         """2PC phase 1: validate and stage; nothing becomes visible."""
-        if op_key in self.applied:
+        if not self.store.validate_shard_writes(key, vertices):
             self.replayed += 1
             return "already-applied"
-        self._maybe_fault(op_key)
-        self._maybe_kill(op_key, "pre")
-        self._maybe_tear(op_key, "prepare", vertices, halves)
-        self.store.validate_shard_writes(vertices)
+        self._maybe_fault(key)
+        self._maybe_kill(key, "pre")
+        self._maybe_tear(key, "prepare", vertices, halves)
         if self.wal is not None:
-            self.wal.log_prepare(op_key, vertices, halves)
-        self.staged[op_key] = (vertices, halves)
-        if self.faults.should_kill_after_prepare(op_key) and \
-                self._spend_crash("kill_prepare", op_key):
+            self.wal.log_prepare(key, vertices, halves)
+        self.staged[key] = (vertices, halves)
+        if self.faults.should_kill_after_prepare(key) and \
+                self._spend_crash("kill_prepare", key):
             # Ack the prepare, then die — the canonical in-doubt
             # window; recovery must resolve by the coordinator log.
             self.exit_after_send = True
         return "prepared"
 
-    def commit(self, op_key: str) -> str:
-        """2PC phase 2: apply the staged slice."""
-        if op_key in self.applied:
-            self.staged.pop(op_key, None)
+    def commit(self, key: tuple) -> str:
+        """2PC phase 2: apply the staged slice.  A commit re-issued after
+        recovery rolled its stage forward is a replay."""
+        if key not in self.staged and \
+                not self.store.validate_shard_writes(key, ()):
             self.replayed += 1
             return "replayed"
-        vertices, halves = self.staged.pop(op_key)
+        vertices, halves = self.staged.pop(key)
         if self.wal is not None:
-            self.wal.log_mark(op_key, "commit")
-        self.store.apply_shard_writes(vertices, halves)
-        self.applied[op_key] = True
+            self.wal.log_mark(key, "commit")
+        self.store.apply_shard_writes(key, vertices, halves)
         return "committed"
 
-    def abort(self, op_key: str) -> str:
-        if self.staged.pop(op_key, None) is not None \
+    def abort(self, key: tuple) -> str:
+        if self.staged.pop(key, None) is not None \
                 and self.wal is not None:
-            self.wal.log_mark(op_key, "abort")
+            self.wal.log_mark(key, "abort")
         return "aborted"
 
     # -- supervised recovery RPCs -----------------------------------------
 
-    def staged_keys(self) -> list[str]:
+    def staged_keys(self) -> list[tuple]:
         return list(self.staged.keys())
 
-    def resolve(self, decisions: dict[str, str]) -> dict[str, int]:
+    def resolve(self, decisions: dict[tuple, str]) -> dict[str, int]:
         """Resolve in-doubt stages by the coordinator's decisions.
 
         Bypasses the fault hooks — resolution is recovery.  Keys with
@@ -350,14 +346,14 @@ class _WorkerState:
         owning router thread is still mid-2PC and will decide).
         """
         report = {"commit": 0, "abort": 0, "kept": 0}
-        for op_key in list(self.staged.keys()):
-            decision = decisions.get(op_key)
+        for key in list(self.staged.keys()):
+            decision = decisions.get(key)
             if decision == "commit":
-                self.commit(op_key)
+                self.commit(key)
                 report["commit"] += 1
                 self.resolved["commit"] += 1
             elif decision == "abort":
-                self.abort(op_key)
+                self.abort(key)
                 report["abort"] += 1
                 self.resolved["abort"] += 1
             else:
@@ -402,7 +398,7 @@ class _WorkerState:
                 "shard": self.shard_index,
                 "requests": self.requests,
                 "commits": self.store.commit_count,
-                "applied": len(self.applied),
+                "applied": self.store.applied_count,
                 "replayed": self.replayed,
                 "staged": len(self.staged),
                 "faults": faults,

@@ -144,6 +144,11 @@ class GraphStore:
         return self._aborts
 
     @property
+    def applied_count(self) -> int:
+        """Keyed commits applied (replays excluded)."""
+        return len(self._applied)
+
+    @property
     def replay_count(self) -> int:
         """Keyed commits that found their key applied and did nothing."""
         return self._replays
@@ -288,7 +293,8 @@ class GraphStore:
 
     # -- shard-worker apply path ------------------------------------------
 
-    def apply_shard_writes(self, new_vertices: list[tuple[str, int, dict]],
+    def apply_shard_writes(self, key: tuple,
+                           new_vertices: list[tuple[str, int, dict]],
                            edge_halves: list[tuple[str, str, int, int,
                                                    dict | None]]) -> int:
         """Apply one routed write-set atomically; returns the commit ts.
@@ -298,14 +304,17 @@ class GraphStore:
         resulting write-set, so this shard receives plain vertex rows
         ``(label, vid, props)`` plus adjacency halves
         ``(label, direction value, anchor, other, props)`` — only the
-        halves anchored at vertices this shard owns.  Validation mirrors
-        :meth:`_apply_commit_locked` for inserts (the SNB-Interactive
-        update workload is insert-only): a vertex already visible
-        raises :class:`~repro.errors.DuplicateError` and nothing is
-        applied.
+        halves anchored at vertices this shard owns.  ``key`` is the
+        update's natural key and follows :meth:`_apply_commit_locked`:
+        an applied key is a replay that commits nothing (returns 0),
+        and a vertex already visible raises
+        :class:`~repro.errors.DuplicateError` with nothing applied or
+        recorded.
         """
         with self._commit_lock:
-            self.validate_shard_writes(new_vertices)
+            if not self.validate_shard_writes(key, new_vertices):
+                self._replays += 1
+                return 0
             ts = self._last_committed + 1
             for label, vid, props in new_vertices:
                 table = self._vertex_table(label)
@@ -317,18 +326,27 @@ class GraphStore:
             for label, dir_value, anchor, other, props in edge_halves:
                 self._adjacency(label, Direction(dir_value)).setdefault(
                     anchor, []).append(_EdgeRecord(other, props, ts))
+            self._applied.add(key)
             self._last_committed = ts
             self._commits += 1
             return ts
 
-    def validate_shard_writes(self, new_vertices: list[tuple[str, int, dict]],
-                              ) -> None:
-        """First-committer-wins check for a routed write-set (prepare)."""
+    def validate_shard_writes(self, key: tuple,
+                              new_vertices: list[tuple[str, int, dict]],
+                              ) -> bool:
+        """First-committer-wins check for a routed write-set (prepare).
+
+        False when ``key`` is already applied: a replay has nothing to
+        stage.
+        """
+        if key in self._applied:
+            return False
         for label, vid, __ in new_vertices:
             record = self._vertex_table(label).get(vid)
             if record is not None and record.visible(
                     self._last_committed) is not None:
                 raise DuplicateError(f"{label}:{vid} already exists")
+        return True
 
 
 class Transaction:

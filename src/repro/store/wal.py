@@ -14,13 +14,15 @@ Two record formats share the same append/read machinery
 * the **single-store commit log** (:class:`WriteAheadLog`) — one record
   per committed transaction, keyed by commit timestamp;
 * the **shard WAL** (:class:`ShardWAL`) — one record per shard-worker
-  write event, keyed by the *stable op key* the router derives from the
-  update itself.  ``apply`` records carry a single-shard commit's write
-  slice; ``prepare`` records persist a 2PC stage (so an in-doubt
-  transaction survives a worker crash between prepare and commit);
-  ``commit``/``abort`` marks resolve a stage.  Replaying the log
-  rebuilds both the shard's state *and* its exactly-once applied-table,
-  so a retried op can never double-apply across a crash.
+  write event, keyed by the update's natural key
+  (:attr:`~repro.datagen.update_stream.UpdateOperation.natural_key`,
+  stored as a JSON list and read back as a tuple).  ``apply`` records
+  carry a single-shard commit's write slice; ``prepare`` records
+  persist a 2PC stage (so an in-doubt transaction survives a worker
+  crash between prepare and commit); ``commit``/``abort`` marks
+  resolve a stage.  Replay re-applies with the key, which rebuilds
+  both the shard's state *and* the store's applied keys, so a retried
+  op can never double-apply across a crash.
 
 Property values are JSON-encoded with tuples rendered as lists and
 restored as tuples on replay, so a recovered store is
@@ -302,7 +304,7 @@ def attach_wal(store: GraphStore, wal: WriteAheadLog) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the shard WAL (per-worker, keyed by stable op key)
+# the shard WAL (per-worker, keyed by the update's natural key)
 # ---------------------------------------------------------------------------
 
 def _encode_writes(vertices: list, halves: list) -> dict:
@@ -351,24 +353,24 @@ class ShardWAL:
     def records_logged(self) -> int:
         return self._log.appended
 
-    def log_apply(self, op_key: str, vertices: list,
+    def log_apply(self, key: tuple, vertices: list,
                   halves: list) -> None:
-        self._log.append({"act": "apply", "op": op_key,
+        self._log.append({"act": "apply", "op": key,
                           **_encode_writes(vertices, halves)})
 
-    def log_prepare(self, op_key: str, vertices: list,
+    def log_prepare(self, key: tuple, vertices: list,
                     halves: list) -> None:
-        self._log.append({"act": "prepare", "op": op_key,
+        self._log.append({"act": "prepare", "op": key,
                           **_encode_writes(vertices, halves)})
 
-    def log_mark(self, op_key: str, act: str) -> None:
+    def log_mark(self, key: tuple, act: str) -> None:
         """Append a bare ``commit``/``abort`` resolution mark."""
-        self._log.append({"act": act, "op": op_key})
+        self._log.append({"act": act, "op": key})
 
-    def tear(self, act: str, op_key: str, vertices: list,
+    def tear(self, act: str, key: tuple, vertices: list,
              halves: list) -> None:
         """Chaos hook: write half the record (crash mid-append)."""
-        self._log.append_torn({"act": act, "op": op_key,
+        self._log.append_torn({"act": act, "op": key,
                                **_encode_writes(vertices, halves)})
 
     def close(self) -> None:
@@ -380,41 +382,33 @@ def read_shard_log(path: str | os.PathLike) -> list[dict]:
     return read_records(path, _SHARD_RECORD_KEYS)
 
 
-def replay_shard_log(store, records: list[dict],
-                     ) -> tuple[dict[str, bool], dict[str, tuple]]:
+def replay_shard_log(store: GraphStore, records: list[dict],
+                     ) -> dict[tuple, tuple]:
     """Re-apply a shard WAL onto a freshly bulk-loaded shard store.
 
-    Returns ``(applied, staged)``: the reconstructed exactly-once
-    applied-table and the in-doubt 2PC stages (prepared, never
-    resolved) awaiting the coordinator's decision.  The store must be a
-    :class:`GraphStore` exposing ``apply_shard_writes``.
+    Every write re-applies with its key, so the store's applied keys
+    come back with its state and a record logged twice applies once.
+    Returns the in-doubt 2PC stages (prepared, never resolved) awaiting
+    the coordinator's decision.
     """
-    applied: dict[str, bool] = {}
-    staged: dict[str, tuple] = {}
+    staged: dict[tuple, tuple] = {}
     for record in records:
-        act, op_key = record["act"], record["op"]
+        act, key = record["act"], tuple(record["op"])
         if act == "apply":
-            if op_key in applied:
-                continue  # duplicate delivery logged twice; apply once
-            vertices, halves = _decode_writes(record)
-            store.apply_shard_writes(vertices, halves)
-            applied[op_key] = True
+            store.apply_shard_writes(key, *_decode_writes(record))
         elif act == "prepare":
-            if op_key not in applied:
-                staged[op_key] = _decode_writes(record)
+            if store.validate_shard_writes(key, ()):
+                staged[key] = _decode_writes(record)
         elif act == "commit":
-            if op_key in applied:
-                staged.pop(op_key, None)
-                continue
-            stage = staged.pop(op_key, None)
-            if stage is None:
+            stage = staged.pop(key, None)
+            if stage is not None:
+                store.apply_shard_writes(key, *stage)
+            elif store.validate_shard_writes(key, ()):
                 raise StoreError(
-                    f"shard WAL commit mark for {op_key} without a "
+                    f"shard WAL commit mark for {key} without a "
                     f"preceding prepare record")
-            store.apply_shard_writes(*stage)
-            applied[op_key] = True
         elif act == "abort":
-            staged.pop(op_key, None)
+            staged.pop(key, None)
         else:
             raise StoreError(f"unknown shard WAL act {act!r}")
-    return applied, staged
+    return staged

@@ -382,8 +382,8 @@ def sharded_case(split, shards: int = 2) -> ConnectorCase:
     """The sharded store as a driver connector (spawns real workers).
 
     The replay probe runs against genuine worker processes, whose
-    applied-tables absorb the duplicate; the update probe is the first
-    operation of the split's update stream.
+    stores' applied keys absorb the duplicate; the update probe is the
+    first operation of the split's update stream.
     Workers get a shard WAL directory, so the case also exercises the
     crash-recovery check: ``crash`` kill -9s every worker and the
     supervised digest read must come back byte-identical.

@@ -446,17 +446,7 @@ def test_reads_are_not_deduplicated(server_client):
     assert len(sut.executed) == 2
 
 
-# -- op keys ---------------------------------------------------------------
-
-def test_op_keys_are_stable_and_never_alias(split):
-    first = split.updates[0]
-    assert first.op_key == first.op_key
-    # An equal item re-created from the stream keys identically.
-    assert dataclasses.replace(first).op_key == first.op_key
-    # Distinct updates never share a key.
-    keys = {op.op_key for op in split.updates}
-    assert len(keys) == len(split.updates)
-
+# -- update keys -----------------------------------------------------------
 
 def test_natural_keys_are_stable_and_never_alias(split):
     first = split.updates[0]

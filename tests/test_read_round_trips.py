@@ -202,7 +202,7 @@ class _StubHandle:
         self.error = error
         self.called_on: list[int] = []
 
-    def call(self, method, args, timeout, op_key=None):
+    def call(self, method, args, timeout, key=None):
         self.called_on.append(threading.get_ident())
         if self.error is not None:
             raise self.error

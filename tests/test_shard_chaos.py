@@ -38,8 +38,8 @@ def test_worker_abort_soak_converges(small_split):
 
 def test_router_timeout_soak_converges(small_split):
     """Delays pushed past the router RPC timeout surface as transient
-    timeouts; the retry must dedup against the worker's applied-table
-    (the delayed apply still lands), never double-applying."""
+    timeouts; the retry must replay against the shard store's applied
+    keys (the delayed apply still lands), never double-applying."""
     report = run_chaos(
         small_split, "store", FaultPlan(), seed=0, num_partitions=2,
         shards=2,

@@ -167,11 +167,16 @@ def test_forced_cross_shard_friendship(small_split):
         assert sharded.router._multi_shard_updates == 1, \
             "the forced friendship did not take the two-phase path"
         assert sharded.digest() == expected
-        # Exactly-once across a duplicate delivery: replaying the same
-        # op key must not double-apply (the worker dedups it).
+        # Exactly-once across a duplicate delivery: each involved
+        # shard's store records the update's key once, and a replay of
+        # it applies nothing.
         stats = sharded.router.stats()
         applied = sum(w.get("applied", 0) for w in stats["shards"])
         assert applied >= 2  # one apply per involved shard
+        sharded.execute(Update(op))
+        assert sharded.digest() == expected
+        stats = sharded.router.stats()
+        assert sum(w["applied"] for w in stats["shards"]) == applied
     finally:
         sharded.close()
 

@@ -11,7 +11,6 @@ fault-free run.
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 import tempfile
 import warnings
@@ -29,15 +28,18 @@ from repro.errors import ShardConnectionError, ShardError, \
     ShardRecoveringError, TransientError
 from repro.faults import FaultPlan
 from repro.ids import serial_of
+from repro.queries.updates import executor_for
 from repro.schema.entities import Knows
 from repro.shard import ShardedStoreSUT, ShardFaultPlan, owner_of
-from repro.shard.router import ShardRouter
+from repro.shard.router import ShardRouter, _WriteRecorder
+from repro.shard.routing import ShardWrites, partition_writes
 from repro.shard.supervisor import RESTART_COUNTER
 from repro.shard.txlog import CoordinatorLog
 from repro.store.graph import GraphStore
 from repro.store.wal import (
     TORN_RECORD_COUNTER,
     ShardWAL,
+    read_records,
     read_shard_log,
     replay_shard_log,
 )
@@ -45,6 +47,9 @@ from repro.validation import run_chaos
 
 #: Updates replayed per recovery scenario (speed/coverage trade-off).
 PREFIX = 60
+
+#: Updates of the replay-cost scenario (274 of them span both shards).
+REPLAY_PREFIX = 400
 
 
 def _single_digest(split, prefix: int) -> str:
@@ -73,6 +78,29 @@ def _cross_shard_friendship(split) -> UpdateOperation:
                       creation_date=1_500_000_000_000))
 
 
+def _shard_writes(op: UpdateOperation,
+                  num_shards: int) -> dict[int, ShardWrites]:
+    """The non-empty per-shard slices the router sends for ``op``."""
+    recorder = _WriteRecorder()
+    executor_for(op.kind)(recorder, op.payload)
+    per_shard = partition_writes(recorder.new_vertices,
+                                 recorder.new_edges, num_shards)
+    return {shard: writes for shard, writes in per_shard.items()
+            if writes}
+
+
+def _worker_requests(sut) -> list[int]:
+    """Per-shard request counts (each includes the ``stats`` call that
+    reads it)."""
+    return [worker["requests"] for worker in sut.router.stats()["shards"]]
+
+
+def _coordinator_commits(sut) -> int:
+    return sum(1 for record in read_records(sut.router.txlog.path,
+                                            ("act", "op"))
+               if record["act"] == "commit")
+
+
 @pytest.fixture()
 def wal_dir():
     path = tempfile.mkdtemp(prefix="repro-recovery-wal-")
@@ -90,28 +118,31 @@ def test_torn_tail_is_skipped_counted_and_truncated(tmp_path):
     so the next record never welds onto the fragment."""
     path = str(tmp_path / "shard-0.wal")
     wal = ShardWAL(path)
-    wal.log_apply("op-1", [("person", 7, {"firstName": "A"})], [])
-    wal.tear("apply", "op-2", [("person", 8, {"firstName": "B"})], [])
+    wal.log_apply(("vertex", 7), [("person", 7, {"firstName": "A"})], [])
+    wal.tear("apply", ("vertex", 8), [("person", 8, {"firstName": "B"})],
+             [])
     wal.close()
 
     before = telemetry.counter(TORN_RECORD_COUNTER).value
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         records = read_shard_log(path)
-    assert [r["op"] for r in records] == ["op-1"]
+    assert [r["op"] for r in records] == [["vertex", 7]]
     assert telemetry.counter(TORN_RECORD_COUNTER).value == before + 1
     assert any("torn" in str(w.message) for w in caught)
 
     # Reopening truncates the fragment before appending — the new
     # record must parse cleanly instead of corrupting mid-file.
     wal = ShardWAL(path)
-    wal.log_apply("op-3", [("person", 9, {"firstName": "C"})], [])
+    wal.log_apply(("vertex", 9), [("person", 9, {"firstName": "C"})], [])
     wal.close()
-    assert [r["op"] for r in read_shard_log(path)] == ["op-1", "op-3"]
+    assert [r["op"] for r in read_shard_log(path)] == [["vertex", 7],
+                                                      ["vertex", 9]]
 
     store = GraphStore()
-    applied, staged = replay_shard_log(store, read_shard_log(path))
-    assert set(applied) == {"op-1", "op-3"} and not staged
+    staged = replay_shard_log(store, read_shard_log(path))
+    assert store.applied_count == 2 and not staged
+    assert not store.validate_shard_writes(("vertex", 9), ())
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +152,19 @@ def test_torn_tail_is_skipped_counted_and_truncated(tmp_path):
 def test_coordinator_log_round_trips_decisions(tmp_path):
     path = str(tmp_path / "coordinator.log")
     log = CoordinatorLog(path)
-    log.log_begin("op-a", [0, 1])
-    log.log_commit("op-a")
-    log.log_begin("op-b", [0, 1])
-    log.log_abort("op-b")
-    log.log_begin("op-c", [0, 1])  # in doubt: begun, never decided
+    a, b, c = ("knows", 1, 2), ("knows", 3, 4), ("likes", 5, 6)
+    log.log_begin(a, [0, 1])
+    log.log_commit(a)
+    log.log_begin(b, [0, 1])
+    log.log_abort(b)
+    log.log_begin(c, [0, 1])  # in doubt: begun, never decided
     log.close()
 
     recovered = CoordinatorLog(path)
-    assert recovered.decision("op-a") == "commit"
-    assert recovered.decision("op-b") == "abort"
-    assert recovered.decision("op-c") is None
-    assert "op-c" in recovered.in_doubt()
+    assert recovered.decision(a) == "commit"
+    assert recovered.decision(b) == "abort"
+    assert recovered.decision(c) is None
+    assert c in recovered.in_doubt()
     recovered.close()
 
 
@@ -224,7 +256,7 @@ def test_restart_budget_exhaustion_is_fatal_with_payload(small_split,
                                                          wal_dir):
     """max_restarts=0 is the recovery-disabled canary: the first kill
     must surface the original fatal taxonomy, carrying the structured
-    payload (shard index, op key, pending count)."""
+    payload (shard index, update key, pending count)."""
     sut = ShardedStoreSUT.for_network(
         small_split.bulk, 2, wal_dir=wal_dir, max_restarts=0,
         faults=ShardFaultPlan(kill_rate=1.0, seed=1))
@@ -234,10 +266,11 @@ def test_restart_budget_exhaustion_is_fatal_with_payload(small_split,
                 sut.execute(Update(op))
         exc = caught.value
         assert exc.shard_index in (0, 1)
-        assert exc.op_key is not None and len(exc.op_key) == 40
+        keys = {op.natural_key for op in small_split.updates[:PREFIX]}
+        assert exc.key in keys
         assert exc.pending >= 0
         assert f"[shard={exc.shard_index}" in str(exc)
-        assert exc.op_key in str(exc)
+        assert f"key={exc.key}" in str(exc)
         assert "exhausted" in str(exc)
         assert not default_is_transient(exc), \
             "budget exhaustion must be fatal, not retried forever"
@@ -261,11 +294,108 @@ def test_recovering_error_is_transient():
     assert exc.shard_index == 1
 
 
-def test_update_op_key_is_stable(small_split):
-    # Shard WALs persist this key: its formula must never drift.
-    op = small_split.updates[0]
-    body = f"{op.kind.value}:{op.due_time}:{op.payload!r}"
-    assert op.op_key == op.op_key == hashlib.sha1(body.encode()).hexdigest()
+def test_update_keys_round_trip_through_both_logs(small_split, tmp_path):
+    """Shard WALs and the coordinator log store the natural key as a
+    JSON list; every update kind's key must read back as an equal
+    tuple, or recovery could not match a logged write to its replay."""
+    ops = {}
+    for op in small_split.updates:
+        ops.setdefault(op.kind, op)
+    assert set(ops) == set(UpdateKind)
+    keys = [op.natural_key for op in ops.values()]
+
+    wal_path = str(tmp_path / "shard-0.wal")
+    wal = ShardWAL(wal_path)
+    for key in keys:
+        wal.log_prepare(key, [], [])
+        wal.log_mark(key, "commit")
+    wal.close()
+    assert [tuple(r["op"]) for r in read_shard_log(wal_path)] == \
+        [key for key in keys for __ in range(2)]
+    store = GraphStore()
+    assert replay_shard_log(store, read_shard_log(wal_path)) == {}
+    assert store.applied_count == len(keys)
+    assert not any(store.validate_shard_writes(key, ()) for key in keys)
+
+    log_path = str(tmp_path / "coordinator.log")
+    log = CoordinatorLog(log_path)
+    for key in keys:
+        log.log_begin(key, [0, 1])
+        log.log_commit(key)
+    log.close()
+    recovered = CoordinatorLog(log_path)
+    assert all(recovered.decision(key) == "commit" for key in keys)
+    assert recovered.in_doubt() == []
+    recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# replay cost: a replayed update asks each involved shard once
+# ---------------------------------------------------------------------------
+
+def test_full_replay_costs_one_call_per_involved_shard(small_split,
+                                                       wal_dir):
+    """Replaying a whole stream sends each update one RPC per involved
+    shard — an ``apply`` or a ``prepare`` answered "replayed" /
+    "already-applied" — logs no coordinator commit, and leaves WALs a
+    cold restart reads back to the single-store state."""
+    ops = small_split.updates[:REPLAY_PREFIX]
+    expected = _single_digest(small_split, REPLAY_PREFIX)
+    involved = sum(len(_shard_writes(op, 2)) for op in ops)
+    sut = ShardedStoreSUT.for_network(small_split.bulk, 2,
+                                      wal_dir=wal_dir)
+    try:
+        for op in ops:
+            sut.execute(Update(op))
+        requests, commits = _worker_requests(sut), _coordinator_commits(sut)
+        assert commits == sut.router._multi_shard_updates > 0
+        for op in ops:
+            sut.execute(Update(op))
+        # Each worker also answered one more ``stats`` call.
+        replay_calls = sum(_worker_requests(sut)) - sum(requests) - 2
+        assert replay_calls == involved
+        assert _coordinator_commits(sut) == commits
+        assert sut.router.stats()["replays"] == len(ops)
+        assert sut.digest() == expected
+    finally:
+        sut.close()
+
+    revived = ShardedStoreSUT.for_network(small_split.bulk, 2,
+                                          wal_dir=wal_dir)
+    try:
+        assert revived.digest() == expected
+    finally:
+        revived.close()
+
+
+def test_partial_replay_still_commits_the_prepared_shard(small_split,
+                                                         wal_dir):
+    """A cross-shard update one shard already applied is no replay: the
+    other shard prepares, the coordinator logs commit, and only the
+    prepared shard gets the commit."""
+    op = _cross_shard_friendship(small_split)
+    single = StoreSUT.for_network(small_split.bulk)
+    single.execute(Update(op))
+    per_shard = _shard_writes(op, 2)
+    assert sorted(per_shard) == [0, 1]
+
+    sut = ShardedStoreSUT.for_network(small_split.bulk, 2,
+                                      wal_dir=wal_dir)
+    try:
+        writes = per_shard[0]
+        assert sut.router.call(0, "apply", op.natural_key,
+                               writes.vertices, writes.halves) == "applied"
+        before = _worker_requests(sut)
+        sut.execute(Update(op))
+        after = _worker_requests(sut)
+        # Shard 0: one prepare (already applied).  Shard 1: prepare
+        # and commit.  Each also answered one more ``stats`` call.
+        assert [a - b - 1 for a, b in zip(after, before)] == [1, 2]
+        assert _coordinator_commits(sut) == 1
+        assert sut.router.stats()["replays"] == 0
+        assert sut.digest() == single.digest()
+    finally:
+        sut.close()
 
 
 # ---------------------------------------------------------------------------
